@@ -118,12 +118,12 @@ def load_system_csv(realized_path, accurate_path):
     cited_a, citing_a, matrix_a = _read_matrix_csv(accurate_path)
     if cited_r != cited_a or citing_r != citing_a:
         raise ParseError("realized and accurate CSV files disagree on ids")
-    author_ids = []
-    for _, author in citing_r:
-        if author not in author_ids:
-            author_ids.append(author)
-    citing = [(pid, author_ids.index(author)) for pid, author in citing_r]
-    return build_system(author_ids, citing, cited_r, matrix_r, matrix_a)
+    author_index = {}  # author id -> index, in order of first appearance
+    citing = [
+        (pid, author_index.setdefault(author, len(author_index)))
+        for pid, author in citing_r
+    ]
+    return build_system(list(author_index), citing, cited_r, matrix_r, matrix_a)
 
 
 def _write_matrix_csv(system, matrix, path):

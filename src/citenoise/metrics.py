@@ -14,8 +14,6 @@ from enum import Enum
 
 import numpy as np
 
-from .model import error_matrix
-
 
 class BiasDirection(Enum):
     OVER = "over"
@@ -64,77 +62,70 @@ class NoiseReport:
     bias_direction: BiasDirection
 
 
-def _row_error_rates(system):
-    e = error_matrix(system).entries
-    return e.mean(axis=1)
+def _grouped(values, group, n_groups):
+    """Per-group cell counts, sums and within-group squared deviations.
+
+    ``values`` is 1-D, or 2-D with every cell of row j in group ``group[j]``.
+    Sums come first, so a group of equal values has an exact zero within term.
+    """
+    values = values.reshape(len(group), -1)
+    n = np.bincount(group, minlength=n_groups) * values.shape[1]
+    sums = np.bincount(group, weights=values.sum(axis=1), minlength=n_groups)
+    dev = values - (sums / n)[group, None]
+    within = np.bincount(group, weights=(dev * dev).sum(axis=1), minlength=n_groups)
+    return n, sums, within
+
+
+def _check_index(i, size, what):
+    if not 0 <= i < size:
+        raise IndexError(f"{what} index {i} out of range")
 
 
 def citing_paper_stats(system, j):
-    if not 0 <= j < system.n_citing:
-        raise IndexError(f"citing paper index {j} out of range")
-    row_r = system.realized[j]
-    pe = float(np.abs(row_r - system.accurate[j]).mean())
-    return CitingPaperStats(pr=float(row_r.mean()), pa=1.0 - pe, pe=pe)
+    _check_index(j, system.n_citing, "citing paper")
+    row_r, k = system.realized[j], system.n_cited
+    pe = np.count_nonzero(row_r != system.accurate[j]) / k
+    return CitingPaperStats(pr=np.count_nonzero(row_r) / k, pa=1.0 - pe, pe=pe)
 
 
 def author_error_rate(system, i):
     """Mean per-paper error rate over author i's citing papers."""
-    rows = system.papers_of_author(i)
-    return float(_row_error_rates(system)[rows].mean())
+    _check_index(i, system.n_authors, "author")
+    return analyze(system).author_error_rates[i]
 
 
 def cited_paper_stats(system, k):
-    if not 0 <= k < system.n_cited:
-        raise IndexError(f"cited paper index {k} out of range")
-    col_r = system.realized[:, k]
-    col_a = system.accurate[:, k]
-    pe = float(np.abs(col_r - col_a).mean())
-    return CitedPaperStats(
-        pr=float(col_r.mean()),
-        tc=int(col_r.sum()),
-        ec=int(col_a.sum()),
-        pa=1.0 - pe,
-        pe=pe,
-    )
+    _check_index(k, system.n_cited, "cited paper")
+    col_r, col_a, j = system.realized[:, k], system.accurate[:, k], system.n_citing
+    tc, ec = np.count_nonzero(col_r), np.count_nonzero(col_a)
+    pe = np.count_nonzero(col_r != col_a) / j
+    return CitedPaperStats(pr=tc / j, tc=tc, ec=ec, pa=1.0 - pe, pe=pe)
 
 
 def system_accuracy(system):
     """(mean accuracy, mean error rate) across all citing papers."""
-    pe = float(_row_error_rates(system).mean())
-    return 1.0 - pe, pe
+    report = analyze(system)
+    return report.pa_mean, report.pe_mean
 
 
 def level_noise(system):
     """Between-author standard deviation of error rates, paper-weighted."""
-    pe_rows = _row_error_rates(system)
-    pe_bar = pe_rows.mean()
-    total = 0.0
-    for i in range(system.n_authors):
-        rows = system.papers_of_author(i)
-        total += len(rows) * (pe_bar - pe_rows[rows].mean()) ** 2
-    return math.sqrt(total / system.n_citing)
+    return analyze(system).sigma_ln
 
 
 def author_pattern_noise(system, i):
     """Within-author standard deviation of per-paper error rates."""
-    rows = system.papers_of_author(i)
-    if len(rows) == 1:
-        return 0.0
-    pe_rows = _row_error_rates(system)[rows]
-    return math.sqrt(float(((pe_rows.mean() - pe_rows) ** 2).mean()))
+    _check_index(i, system.n_authors, "author")
+    return analyze(system).author_pattern_noise[i]
 
 
 def pattern_noise(system):
     """Root of the paper-weighted mean of squared author pattern noises."""
-    total = 0.0
-    for i in range(system.n_authors):
-        n_i = len(system.papers_of_author(i))
-        total += n_i * author_pattern_noise(system, i) ** 2
-    return math.sqrt(total / system.n_citing)
+    return analyze(system).sigma_pn
 
 
 def system_noise(system):
-    return math.sqrt(level_noise(system) ** 2 + pattern_noise(system) ** 2)
+    return analyze(system).sigma_sys
 
 
 def citation_bias(system):
@@ -152,29 +143,36 @@ def citation_bias(system):
 
 
 def analyze(system):
-    """Compute every decomposition statistic for one system."""
-    pa_bar, pe_bar = system_accuracy(system)
-    sigma_ln = level_noise(system)
-    sigma_pn = pattern_noise(system)
+    """Every decomposition statistic, from integer error and citation counts."""
+    j, k = system.n_citing, system.n_cited
+    errors = system.realized != system.accurate
+    row_errors = np.count_nonzero(errors, axis=1)
+    authors = np.fromiter((a for _, a in system.citing_papers), np.intp, j)
+    n, sums, within = _grouped(row_errors, authors, system.n_authors)
+    sigma_ln = math.sqrt(float((n * (sums / n - sums.sum() / j) ** 2).sum()) / j) / k
+    sigma_pn = math.sqrt(within.sum() / j) / k
+    pr_rows = (np.count_nonzero(system.realized, axis=1) / k).tolist()
+    tc = np.count_nonzero(system.realized, axis=0).tolist()
+    ec = np.count_nonzero(system.accurate, axis=0).tolist()
+    pe_cols = (np.count_nonzero(errors, axis=0) / j).tolist()
+    pe_mean = int(row_errors.sum()) / errors.size
     bias = citation_bias(system)
     return NoiseReport(
         citing_paper_stats=tuple(
-            citing_paper_stats(system, j) for j in range(system.n_citing)
+            CitingPaperStats(pr, 1.0 - pe, pe)
+            for pr, pe in zip(pr_rows, (row_errors / k).tolist())
         ),
-        author_error_rates=tuple(
-            author_error_rate(system, i) for i in range(system.n_authors)
-        ),
-        author_pattern_noise=tuple(
-            author_pattern_noise(system, i) for i in range(system.n_authors)
-        ),
+        author_error_rates=tuple((sums / (n * k)).tolist()),
+        author_pattern_noise=tuple((np.sqrt(within / n) / k).tolist()),
         cited_paper_stats=tuple(
-            cited_paper_stats(system, k) for k in range(system.n_cited)
+            CitedPaperStats(t / j, t, e, 1.0 - pe, pe)
+            for t, e, pe in zip(tc, ec, pe_cols)
         ),
-        pa_mean=pa_bar,
-        pe_mean=pe_bar,
+        pa_mean=1.0 - pe_mean,
+        pe_mean=pe_mean,
         sigma_ln=sigma_ln,
         sigma_pn=sigma_pn,
-        sigma_sys=math.sqrt(sigma_ln**2 + sigma_pn**2),
+        sigma_sys=math.hypot(sigma_ln, sigma_pn),
         mean_tc=bias.mean_tc,
         mean_ec=bias.mean_ec,
         bias=bias.bias,

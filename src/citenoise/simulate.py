@@ -19,17 +19,32 @@ never perturbs earlier replicates.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InsufficientReplicates, InvalidConfig
-from .metrics import citation_bias
+from .metrics import _grouped, citation_bias
 from .model import build_system
 
 # Fraction of cells whose unclamped flip probability may leave [0, 1]
 # before the configuration is rejected as analytically unusable.
 MAX_CLAMPED_FRACTION = 0.01
+
+_INT_FIELDS = ("seed", "n_authors", "papers_per_author", "n_cited", "replicates")
+_REAL_FIELDS = ("should_cite_prob", "base_error", "level_spread", "interaction_spread")
+
+
+def _check_finite(name, value):
+    """Reject anything but a finite real number; a bool is rejected too."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return
+        except OverflowError:  # an int too large for a float
+            pass
+    raise InvalidConfig(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -46,6 +61,17 @@ class GenerativeConfig:
     replicates: int = 1
 
     def validate(self):
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+        for name in _REAL_FIELDS:
+            _check_finite(name, getattr(self, name))
+        shift = self.bias_shift
+        for value in shift if isinstance(shift, (tuple, list, np.ndarray)) else [shift]:
+            _check_finite("bias_shift", value)
+        if self.seed < 0:
+            raise InvalidConfig("seed must be nonnegative")
         if self.n_authors < 1 or self.papers_per_author < 1 or self.n_cited < 1:
             raise InvalidConfig("system dimensions must be positive")
         if not 0.0 <= self.should_cite_prob <= 1.0:
@@ -85,10 +111,8 @@ class LatentTruth:
 
     def author_mean_flip(self):
         """Per-author mean flip probability over the author's cells."""
-        n_authors = len(self.author_offsets)
-        return np.array(
-            [self.flip_probs[self.author_of_paper == i].mean() for i in range(n_authors)]
-        )
+        n, sums, _ = self._grouped_flips()
+        return sums / n
 
     def author_level_std(self):
         """Population std of per-author mean flip probabilities."""
@@ -96,11 +120,11 @@ class LatentTruth:
 
     def stable_pattern_std(self):
         """Root of the cell-weighted mean within-author variance of flip probs."""
-        total = 0.0
-        for i in range(len(self.author_offsets)):
-            cells = self.flip_probs[self.author_of_paper == i]
-            total += cells.size * cells.var()
-        return math.sqrt(total / self.flip_probs.size)
+        _, _, within = self._grouped_flips()
+        return math.sqrt(within.sum() / self.flip_probs.size)
+
+    def _grouped_flips(self):
+        return _grouped(self.flip_probs, self.author_of_paper, len(self.author_offsets))
 
 
 @dataclass(frozen=True)
@@ -208,18 +232,18 @@ def decompose_pattern_noise(replicates):
     t = len(replicates.realized)
     if t < 2:
         raise InsufficientReplicates("need at least 2 occasions")
-    errors = np.stack(
-        [np.abs(r - replicates.accurate) for r in replicates.realized]
-    ).astype(float)  # (T, J, K)
-
-    occasion_var = float(errors.var(axis=0, ddof=1).mean())
-
-    total = 0.0
-    n_cells = errors.shape[1] * errors.shape[2]
-    for i in np.unique(replicates.author_of_paper):
-        block = errors[:, replicates.author_of_paper == i, :]
-        total += block[0].size * float(((block - block.mean()) ** 2).mean())
-    total_var = total / n_cells
+    # Errors are binary, so each cell's error count s over the T occasions is
+    # sufficient: the squared deviations of its T indicators around their
+    # mean sum to s (T - s) / T, and the kernel's within-author term on s is
+    # T^2 times that of the cell means around their author's mean.
+    s = np.zeros(replicates.accurate.shape, dtype=np.int64)
+    for realized in replicates.realized:
+        s += realized != replicates.accurate
+    spread = float((s * (t - s)).sum())
+    occasion_var = spread / (t * (t - 1) * s.size)
+    labels, author = np.unique(replicates.author_of_paper, return_inverse=True)
+    _, _, within = _grouped(s, author, len(labels))
+    total_var = (spread + within.sum()) / (t * t * s.size)
 
     stable_var = max(0.0, total_var - occasion_var)
     return math.sqrt(stable_var), math.sqrt(occasion_var)

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import citenoise
 
 from citenoise import analyze, builtin_fixture
 from citenoise.cli import run_cli
@@ -56,6 +62,25 @@ class TestSystemDocuments:
             rp, ap = tmp_path / "R.csv", tmp_path / "A.csv"
             cio.save_system_csv(s, rp, ap)
             assert cio.load_system_csv(rp, ap) == canonical_author_order(s)
+
+    def test_csv_authors_in_first_appearance_order(self, tmp_path):
+        s = builtin_fixture("table1")
+        rows = [2, 0, 5, 1, 3, 4] + list(range(6, s.n_citing))
+        shuffled = citenoise.build_system(
+            s.author_ids,
+            [s.citing_papers[j] for j in rows],
+            s.cited_paper_ids,
+            s.realized[rows],
+            s.accurate[rows],
+        )
+        rp, ap = tmp_path / "R.csv", tmp_path / "A.csv"
+        cio.save_system_csv(shuffled, rp, ap)
+        loaded = cio.load_system_csv(rp, ap)
+        owners = [shuffled.author_ids[a] for _, a in shuffled.citing_papers]
+        first_seen = list(dict.fromkeys(owners))
+        assert first_seen != list(shuffled.author_ids)
+        assert list(loaded.author_ids) == first_seen
+        assert loaded == canonical_author_order(shuffled)
 
     def test_formats_agree(self, tmp_path):
         s = builtin_fixture("table1")
@@ -246,6 +271,38 @@ class TestCli:
         out = tmp_path / "t2.json"
         assert run_cli(["fixtures", "--name", "table2", "--out", str(out)]) == 0
         assert cio.load_system(out) == builtin_fixture("table2")
+
+    def test_python_m_citenoise(self, tmp_path):
+        src = str(Path(citenoise.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, path]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "citenoise", "fixtures", "--name", "table1"],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["author_ids"] == list(
+            builtin_fixture("table1").author_ids
+        )
+
+    @pytest.mark.parametrize(
+        "command",
+        [["simulate"], ["aggregate", "--ns", "5", "--trials", "100"]],
+        ids=["simulate", "aggregate"],
+    )
+    @pytest.mark.parametrize(
+        "bad",
+        ['"n_authors": "3"', '"level_spread": NaN', '"n_authors": 2.5'],
+        ids=["string-dimension", "nan-spread", "float-dimension"],
+    )
+    def test_wrong_typed_config_exits_1(self, tmp_path, capsys, command, bad):
+        config = tmp_path / "config.json"
+        config.write_text('{"seed": 1, "papers_per_author": 2, "n_cited": 3, %s}' % bad)
+        code = run_cli([command[0], "--config", str(config), *command[1:]])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert "error:" in err
 
     def test_unknown_fixture_is_usage_error(self, capsys):
         assert run_cli(["fixtures", "--name", "table9"]) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,9 @@ import pytest
 
 from citenoise import (
     BiasDirection,
+    CitedPaperStats,
+    CitingPaperStats,
+    NoiseReport,
     analyze,
     author_error_rate,
     author_pattern_noise,
@@ -48,6 +52,177 @@ def brute_force_decomposition(system):
         num_pn += len(rows) * var_i
         total_n += len(rows)
     return pe_bar, math.sqrt(num_ln / total_n), math.sqrt(num_pn / total_n)
+
+
+def brute_force_report(system):
+    """Every NoiseReport field recomputed cell by cell with Python loops."""
+    n_j, n_k = system.n_citing, system.n_cited
+    r, a = system.realized.tolist(), system.accurate.tolist()
+    wrong = [[int(r[j][k] != a[j][k]) for k in range(n_k)] for j in range(n_j)]
+    pe_rows = [sum(row) / n_k for row in wrong]
+    rates, pattern = [], []
+    for i in range(system.n_authors):
+        rows = system.papers_of_author(i)
+        rate = sum(pe_rows[j] for j in rows) / len(rows)
+        rates.append(rate)
+        var = sum((rate - pe_rows[j]) ** 2 for j in rows) / len(rows)
+        pattern.append(math.sqrt(var))
+    cited = []
+    for k in range(n_k):
+        tc = sum(r[j][k] for j in range(n_j))
+        pe = sum(wrong[j][k] for j in range(n_j)) / n_j
+        ec = sum(a[j][k] for j in range(n_j))
+        cited.append(CitedPaperStats(tc / n_j, tc, ec, 1 - pe, pe))
+    pe_bar, sigma_ln, sigma_pn = brute_force_decomposition(system)
+    mean_tc = sum(c.tc for c in cited) / n_k
+    mean_ec = sum(c.ec for c in cited) / n_k
+    bias = mean_tc - mean_ec
+    direction = {1: BiasDirection.OVER, -1: BiasDirection.UNDER, 0: BiasDirection.NONE}
+    return NoiseReport(
+        citing_paper_stats=tuple(
+            CitingPaperStats(sum(r[j]) / n_k, 1 - pe, pe)
+            for j, pe in enumerate(pe_rows)
+        ),
+        author_error_rates=tuple(rates),
+        author_pattern_noise=tuple(pattern),
+        cited_paper_stats=tuple(cited),
+        pa_mean=1 - pe_bar,
+        pe_mean=pe_bar,
+        sigma_ln=sigma_ln,
+        sigma_pn=sigma_pn,
+        sigma_sys=math.sqrt(sigma_ln**2 + sigma_pn**2),
+        mean_tc=mean_tc,
+        mean_ec=mean_ec,
+        bias=bias,
+        bias_direction=direction[(bias > 0) - (bias < 0)],
+    )
+
+
+def assert_reports_close(got, expected, tol=1e-12):
+    """Same structure and enums, every number within ``tol``."""
+
+    def flat(x):
+        if isinstance(x, tuple):
+            return [v for item in x for v in flat(item)]
+        return [x]
+
+    got, expected = flat(dataclasses.astuple(got)), flat(dataclasses.astuple(expected))
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        if isinstance(e, BiasDirection):
+            assert g is e
+        else:
+            assert g == pytest.approx(e, abs=tol)
+
+
+def grouped_random_system(rng, max_authors=50, max_cited=20):
+    """Random system with up to 50 authors of 8-12 papers, rows shuffled.
+
+    Each author has an own error probability, so level and pattern noise
+    both occur; owners are shuffled so an author's rows are not contiguous.
+    """
+    n_authors = int(rng.integers(1, max_authors + 1))
+    owners = np.repeat(np.arange(n_authors), rng.integers(8, 13, n_authors))
+    rng.shuffle(owners)
+    k = int(rng.integers(1, max_cited + 1))
+    accurate = rng.integers(0, 2, (len(owners), k))
+    flips = rng.random((len(owners), k)) < rng.uniform(0, 0.6, n_authors)[owners, None]
+    return build_system(
+        [f"a{i}" for i in range(n_authors)],
+        [(f"p{j}", int(o)) for j, o in enumerate(owners)],
+        [f"c{kk}" for kk in range(k)],
+        np.where(flips, 1 - accurate, accurate),
+        accurate,
+    )
+
+
+class TestGroupedKernelOracle:
+    """analyze and its single-statistic views against the loop oracles."""
+
+    SEEDS = range(8)
+
+    def test_report_matches_brute_force(self):
+        for seed in self.SEEDS:
+            s = grouped_random_system(np.random.default_rng(seed))
+            assert_reports_close(analyze(s), brute_force_report(s))
+
+    def test_single_statistic_views_match_brute_force(self):
+        for seed in self.SEEDS:
+            s = grouped_random_system(np.random.default_rng(seed))
+            expected = brute_force_report(s)
+            pe_bar, sigma_ln, sigma_pn = brute_force_decomposition(s)
+            assert level_noise(s) == pytest.approx(sigma_ln, abs=1e-12)
+            assert pattern_noise(s) == pytest.approx(sigma_pn, abs=1e-12)
+            assert system_noise(s) == pytest.approx(expected.sigma_sys, abs=1e-12)
+            assert system_accuracy(s) == pytest.approx((1 - pe_bar, pe_bar), abs=1e-12)
+            bias = citation_bias(s)
+            assert (bias.mean_tc, bias.mean_ec, bias.bias) == pytest.approx(
+                (expected.mean_tc, expected.mean_ec, expected.bias), abs=1e-12
+            )
+            assert bias.direction is expected.bias_direction
+            for i in range(s.n_authors):
+                assert author_error_rate(s, i) == pytest.approx(
+                    expected.author_error_rates[i], abs=1e-12
+                )
+                assert author_pattern_noise(s, i) == pytest.approx(
+                    expected.author_pattern_noise[i], abs=1e-12
+                )
+            for j in range(s.n_citing):
+                assert citing_paper_stats(s, j) == expected.citing_paper_stats[j]
+            for k in range(s.n_cited):
+                assert cited_paper_stats(s, k) == expected.cited_paper_stats[k]
+
+    def test_views_equal_report_fields(self, rng):
+        s = grouped_random_system(rng)
+        r = analyze(s)
+        assert (level_noise(s), pattern_noise(s), system_noise(s)) == (
+            r.sigma_ln,
+            r.sigma_pn,
+            r.sigma_sys,
+        )
+        assert system_accuracy(s) == (r.pa_mean, r.pe_mean)
+        assert tuple(citing_paper_stats(s, j) for j in range(s.n_citing)) == (
+            r.citing_paper_stats
+        )
+        assert tuple(cited_paper_stats(s, k) for k in range(s.n_cited)) == (
+            r.cited_paper_stats
+        )
+
+    def test_author_index_out_of_range(self, rng):
+        s = grouped_random_system(rng)
+        for i in (-1, s.n_authors):
+            with pytest.raises(IndexError):
+                author_pattern_noise(s, i)
+            with pytest.raises(IndexError):
+                author_error_rate(s, i)
+
+
+class TestExactZeros:
+    """Equal error counts give exactly zero noise, not rounding residue."""
+
+    @pytest.mark.parametrize("n_papers", [10, 11])
+    def test_pattern_noise_one_error_each(self, n_papers):
+        s = build_system(
+            ["x"],
+            [(f"p{j}", 0) for j in range(n_papers)],
+            ["c", "d", "e"],
+            [[1, 0, 0]] * n_papers,
+            [[0, 0, 0]] * n_papers,
+        )
+        assert pattern_noise(s) == 0.0
+        assert author_pattern_noise(s, 0) == 0.0
+        assert analyze(s).sigma_sys == 0.0
+
+    def test_level_noise_identical_authors(self):
+        s = build_system(
+            ["x", "y"],
+            [(f"p{j}", j // 11) for j in range(22)],
+            ["c", "d", "e"],
+            [[1, 0, 0]] * 22,
+            [[0, 0, 0]] * 22,
+        )
+        assert level_noise(s) == 0.0
+        assert analyze(s).sigma_sys == 0.0
 
 
 class TestCitingPaperStats:

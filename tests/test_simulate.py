@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -35,6 +36,34 @@ class TestConfigValidation:
     def test_rejects_mismatched_bias_vector(self):
         with pytest.raises(InvalidConfig):
             cfg(n_cited=3, bias_shift=(0.1, 0.2)).validate()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", "1"),
+            ("seed", True),
+            ("seed", -1),
+            ("n_authors", "3"),
+            ("n_authors", 2.5),
+            ("papers_per_author", None),
+            ("replicates", 2.0),
+            ("level_spread", float("nan")),
+            ("base_error", float("inf")),
+            ("interaction_spread", "0.1"),
+            ("should_cite_prob", True),
+            ("bias_shift", float("nan")),
+            ("bias_shift", (0.1, float("-inf"))),
+            ("bias_shift", ("x", 0.1)),
+        ],
+    )
+    def test_rejects_wrong_types_and_non_finite(self, field, value):
+        base = {"n_authors": 2, "papers_per_author": 2, "n_cited": 2}
+        with pytest.raises(InvalidConfig, match=field):
+            cfg(**{**base, field: value}).validate()
+
+    def test_accepts_ints_for_floats_and_numpy_scalars(self):
+        config = cfg(n_authors=np.int64(2), base_error=0, level_spread=np.float64(0.1))
+        config.validate()
 
     def test_rejects_heavy_clamping(self):
         with pytest.raises(InvalidConfig):
@@ -190,6 +219,75 @@ class TestDecomposePatternNoise:
             total += block[0].size * ((block - block.mean()) ** 2).mean()
         total /= errors.shape[1] * errors.shape[2]
         assert stable**2 + occasion**2 == pytest.approx(total, abs=1e-9)
+
+
+def stacked_decomposition(reps):
+    """The (T, J, K) float64 stack formula that the count form replaced."""
+    errors = np.stack([np.abs(r - reps.accurate) for r in reps.realized]).astype(float)
+    occasion_var = float(errors.var(axis=0, ddof=1).mean())
+    total = 0.0
+    for i in np.unique(reps.author_of_paper):
+        block = errors[:, reps.author_of_paper == i, :]
+        total += block[0].size * float(((block - block.mean()) ** 2).mean())
+    total_var = total / (errors.shape[1] * errors.shape[2])
+    return math.sqrt(max(0.0, total_var - occasion_var)), math.sqrt(occasion_var)
+
+
+def shuffled_rows(reps, rng):
+    """The same replicate set with its citing papers in a random order."""
+    perm = rng.permutation(len(reps.author_of_paper))
+    latent = dataclasses.replace(
+        reps.latent,
+        flip_probs=reps.latent.flip_probs[perm],
+        author_of_paper=reps.latent.author_of_paper[perm],
+        accurate=reps.latent.accurate[perm],
+    )
+    return type(reps)(
+        realized=tuple(r[perm] for r in reps.realized),
+        accurate=reps.accurate[perm],
+        author_of_paper=reps.author_of_paper[perm],
+        latent=latent,
+    )
+
+
+class TestGroupedKernelOracle:
+    CONFIGS = [
+        dict(n_authors=7, papers_per_author=9, n_cited=11, base_error=0.3,
+             level_spread=0.1, interaction_spread=0.2, replicates=12, seed=1),
+        dict(n_authors=30, papers_per_author=8, n_cited=5, base_error=0.4,
+             interaction_spread=0.25, replicates=3, seed=2),
+        dict(n_authors=1, papers_per_author=10, n_cited=20, base_error=0.2,
+             interaction_spread=0.15, replicates=40, seed=3),
+    ]
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_decomposition_matches_stacked_formula(self, config, rng):
+        reps = replicate_decisions(cfg(**config))
+        for case in (reps, shuffled_rows(reps, rng)):
+            got = decompose_pattern_noise(case)
+            assert got == pytest.approx(stacked_decomposition(case), abs=1e-12)
+
+    def test_identical_replicates_match_stacked_formula(self):
+        reps = replicate_decisions(
+            cfg(n_authors=3, papers_per_author=8, n_cited=4, base_error=1.0,
+                replicates=3)
+        )
+        assert decompose_pattern_noise(reps) == (0.0, 0.0)
+        assert stacked_decomposition(reps) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_latent_stds_match_loops(self, config, rng):
+        latent = shuffled_rows(replicate_decisions(cfg(**config)), rng).latent
+        n_authors = len(latent.author_offsets)
+        blocks = [
+            latent.flip_probs[latent.author_of_paper == i] for i in range(n_authors)
+        ]
+        means = np.array([b.mean() for b in blocks])
+        within = sum(b.size * b.var() for b in blocks)
+        stable = math.sqrt(within / latent.flip_probs.size)
+        assert latent.author_mean_flip() == pytest.approx(means, abs=1e-12)
+        assert latent.author_level_std() == pytest.approx(float(means.std()), abs=1e-12)
+        assert latent.stable_pattern_std() == pytest.approx(stable, abs=1e-12)
 
 
 class TestAggregationCurve:
