@@ -6,6 +6,7 @@ similarity matrix is a precomputed input), and the citation justification
 table, a per-citation ledger in a pipe-delimited text format.
 """
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -18,6 +19,7 @@ from .errors import (
     MalformedRow,
     NonBinaryEntry,
     NonSymmetric,
+    ParseError,
 )
 
 SYMMETRY_TOL = 1e-9
@@ -35,17 +37,30 @@ class SimilarityMatrix:
         return (self.timestamps[idx], self.paper_ids[idx])
 
 
+def _is_real(x):
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and x == x
+
+
 def build_similarity(paper_ids, timestamps, scores):
+    """Validated similarity matrix. Ids are strings and timestamps all real
+    numbers (not NaN) or all strings, so (timestamp, id) orders papers strictly."""
     paper_ids = tuple(paper_ids)
     timestamps = tuple(timestamps)
     s = np.asarray(scores, dtype=float)
     n = len(paper_ids)
+    if not all(isinstance(p, str) for p in paper_ids):
+        raise ParseError("paper ids must be strings")
+    str_stamps = all(isinstance(t, str) for t in timestamps)
+    if not (str_stamps or all(map(_is_real, timestamps))):
+        raise ParseError("timestamps must be all real numbers or all strings")
     if len(timestamps) != n:
         raise DimensionMismatch("one timestamp per paper id required")
     if s.shape != (n, n):
         raise DimensionMismatch(f"similarity matrix {s.shape} vs {n} papers")
     if len(set(paper_ids)) != n:
         raise DimensionMismatch("paper ids must be unique")
+    if not np.isfinite(s).all():
+        raise DimensionMismatch("similarity scores must be finite")
     if n and np.abs(s - s.T).max() > SYMMETRY_TOL:
         raise NonSymmetric("similarity matrix is not symmetric")
     off_diag = s[~np.eye(n, dtype=bool)] if n else s
@@ -87,10 +102,9 @@ def omission_indicator(sim, citations, k):
         raise NonBinaryEntry("citation matrix entries must be 0 or 1")
 
     flags = {}
-    for j in range(n):
-        earlier = [p for p in range(n) if sim.order_key(p) < sim.order_key(j)]
-        if not earlier:
-            continue
+    order = sorted(range(n), key=sim.order_key)
+    for position in range(1, n):  # the first paper has no predecessors
+        j, earlier = order[position], order[:position]
         if k > len(earlier):
             warnings.warn(
                 f"k={k} exceeds {len(earlier)} predecessors of "
@@ -189,16 +203,6 @@ class AuditReport:
     coverage_ratio: float
 
 
-def _unique_in_order(keys):
-    seen = set()
-    out = []
-    for k in keys:
-        if k not in seen:
-            seen.add(k)
-            out.append(k)
-    return out
-
-
 def audit_justification(reference_keys, in_text_keys, jt):
     """Cross-check in-text citation keys against a justification table.
 
@@ -206,18 +210,18 @@ def audit_justification(reference_keys, in_text_keys, jt):
     the table counts as justified for all its in-text occurrences.
     """
     refs = {canonicalize_key(k) for k in reference_keys}
-    intext = _unique_in_order(canonicalize_key(k) for k in in_text_keys)
-    jt_keys = _unique_in_order(canonicalize_key(e.key) for e in jt.entries)
+    intext = list(dict.fromkeys(canonicalize_key(k) for k in in_text_keys))
+    jt_keys = dict.fromkeys(canonicalize_key(e.key) for e in jt.entries)
 
-    unjustified = tuple(k for k in intext if k not in set(jt_keys))
+    unjustified = tuple(k for k in intext if k not in jt_keys)
     orphans = tuple(k for k in jt_keys if k not in refs)
 
     seen_pairs = set()
-    dupes = []
+    dupes = {}  # an insertion-ordered set: each repeated pair once
     for e in jt.entries:
         pair = (canonicalize_key(e.key), e.section)
-        if pair in seen_pairs and pair not in dupes:
-            dupes.append(pair)
+        if pair in seen_pairs:
+            dupes[pair] = None
         seen_pairs.add(pair)
 
     coverage = 1.0 if not intext else (len(intext) - len(unjustified)) / len(intext)

@@ -8,16 +8,10 @@ produce byte-identical output.
 
 import argparse
 import dataclasses
-import json
 import sys
 
 from . import io as cio
-from .audit import (
-    audit_justification,
-    build_similarity,
-    omission_indicator,
-    parse_justification_table,
-)
+from .audit import audit_justification, omission_indicator, parse_justification_table
 from .errors import CitenoiseError, ParseError
 from .fixtures import builtin_fixture, fixture_names
 from .metrics import analyze
@@ -37,11 +31,7 @@ class UsageError(Exception):
 
 
 def _load_config(path, seed_override):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
+    raw = cio.read_json(path)
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: config must be a JSON object")
     unknown = set(raw) - _CONFIG_FIELDS
@@ -87,17 +77,7 @@ def _cmd_simulate(args):
     system, latent = generate_system(config)
     _emit(cio.dump_json(cio.system_to_document(system)), args.out)
     if args.latent:
-        doc = {
-            "schema_version": cio.SCHEMA_VERSION,
-            "author_offsets": latent.author_offsets.tolist(),
-            "interaction_offsets": latent.interaction_offsets.tolist(),
-            "bias_offsets": latent.bias_offsets.tolist(),
-            "flip_probs": latent.flip_probs.tolist(),
-            "author_of_paper": latent.author_of_paper.tolist(),
-            "accurate": latent.accurate.tolist(),
-        }
-        with open(args.latent, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(cio.dump_json(doc))
+        _emit(cio.dump_json(cio.latent_to_document(latent)), args.latent)
     return 0
 
 
@@ -151,28 +131,7 @@ def _cmd_audit(args):
 
 
 def _cmd_omissions(args):
-    with open(args.sim, "r", encoding="utf-8") as fh:
-        try:
-            sim_doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{args.sim}: {exc}") from exc
-    try:
-        ids = [p["id"] for p in sim_doc["papers"]]
-        stamps = [p["timestamp"] for p in sim_doc["papers"]]
-        sim = build_similarity(ids, stamps, sim_doc["scores"])
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"{args.sim}: malformed similarity document: {exc}") from exc
-    with open(args.citations, "r", encoding="utf-8") as fh:
-        try:
-            cite_doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{args.citations}: {exc}") from exc
-    try:
-        if list(cite_doc["papers"]) != ids:
-            raise ParseError("citation document paper ids disagree with similarity")
-        cites = cite_doc["cites"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"{args.citations}: malformed citation document: {exc}") from exc
+    sim, cites = cio.load_omission_inputs(args.sim, args.citations)
     flags = omission_indicator(sim, cites, args.k)
     doc = {
         "schema_version": cio.SCHEMA_VERSION,

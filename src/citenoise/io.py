@@ -1,17 +1,20 @@
-"""Serialization of systems and reports.
+"""Serialization of systems, reports and the other documents.
 
-Two on-disk system representations are supported: a JSON document
-(schema_version "1") and a pair of CSV matrices. The CSV layout is one
-header row ``citing_paper,author,<cited ids...>`` followed by one row per
-citing paper with its id, author id, and 0/1 cells; the realized and
-accurate files must agree on all ids.
+Every JSON input is decoded by :func:`read_json`. Two on-disk system
+representations are supported: a JSON document (schema_version "1") and a
+pair of CSV matrices. The CSV layout is one header row
+``citing_paper,author,<cited ids...>`` followed by one row per citing paper
+with its id, author id, and 0/1 cells; the realized and accurate files must
+agree on all ids.
 """
 
 import csv
+import dataclasses
 import io as _io
 import json
 from decimal import ROUND_HALF_UP, Decimal
 
+from .audit import build_similarity
 from .errors import ParseError, SchemaVersionUnsupported
 from .model import build_system
 
@@ -24,7 +27,7 @@ def _round_printed(value, places=2):
     return float(Decimal(repr(value)).quantize(q, rounding=ROUND_HALF_UP))
 
 
-# -- system documents --------------------------------------------------------
+# -- JSON documents ----------------------------------------------------------
 
 
 def system_to_document(system):
@@ -75,13 +78,47 @@ def save_system(system, path):
         fh.write(dump_json(system_to_document(system)))
 
 
-def load_system(path):
+def read_json(path):
+    """Decode one JSON file; malformed JSON raises ParseError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: {exc}") from exc
-    return system_from_document(doc)
+
+
+def load_system(path):
+    return system_from_document(read_json(path))
+
+
+def latent_to_document(latent):
+    """The latent-truth sidecar: every LatentTruth field, in order, as lists."""
+    doc = {"schema_version": SCHEMA_VERSION}
+    for field in dataclasses.fields(latent):
+        doc[field.name] = getattr(latent, field.name).tolist()
+    return doc
+
+
+def load_omission_inputs(sim_path, cites_path):
+    """(SimilarityMatrix, citation rows) for the omission indicator.
+
+    Documents: ``{"papers": [{"id", "timestamp"}, ...], "scores": n x n}``
+    and ``{"papers": [the same ids, in order], "cites": n x n}``.
+    """
+    sim_doc = read_json(sim_path)
+    try:
+        papers = sim_doc["papers"]
+        ids = [p["id"] for p in papers]
+        sim = build_similarity(ids, [p["timestamp"] for p in papers], sim_doc["scores"])
+    except (KeyError, TypeError, OverflowError) as exc:  # an int beyond float range
+        raise ParseError(f"{sim_path}: malformed similarity document: {exc}") from exc
+    cite_doc = read_json(cites_path)
+    try:
+        if list(cite_doc["papers"]) != ids:
+            raise ParseError("citation document paper ids disagree with similarity")
+        return sim, cite_doc["cites"]
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"{cites_path}: malformed citation document: {exc}") from exc
 
 
 # -- CSV matrix pairs ---------------------------------------------------------

@@ -128,10 +128,9 @@ def system_noise(system):
     return analyze(system).sigma_sys
 
 
-def citation_bias(system):
-    """Signed gap between mean realized and mean expected citation counts."""
-    mean_tc = float(system.realized.sum(axis=0).mean())
-    mean_ec = float(system.accurate.sum(axis=0).mean())
+def _bias(tc, ec):
+    """Signed TC-EC gap from per-cited-paper realized and expected counts."""
+    mean_tc, mean_ec = float(np.mean(tc)), float(np.mean(ec))
     bias = mean_tc - mean_ec
     if bias > 0:
         direction = BiasDirection.OVER
@@ -140,6 +139,11 @@ def citation_bias(system):
     else:
         direction = BiasDirection.NONE
     return BiasResult(mean_tc=mean_tc, mean_ec=mean_ec, bias=bias, direction=direction)
+
+
+def citation_bias(system):
+    """Signed gap between mean realized and mean expected citation counts."""
+    return _bias(system.realized.sum(axis=0), system.accurate.sum(axis=0))
 
 
 def analyze(system):
@@ -152,11 +156,11 @@ def analyze(system):
     sigma_ln = math.sqrt(float((n * (sums / n - sums.sum() / j) ** 2).sum()) / j) / k
     sigma_pn = math.sqrt(within.sum() / j) / k
     pr_rows = (np.count_nonzero(system.realized, axis=1) / k).tolist()
-    tc = np.count_nonzero(system.realized, axis=0).tolist()
-    ec = np.count_nonzero(system.accurate, axis=0).tolist()
+    tc = np.count_nonzero(system.realized, axis=0)
+    ec = np.count_nonzero(system.accurate, axis=0)
     pe_cols = (np.count_nonzero(errors, axis=0) / j).tolist()
     pe_mean = int(row_errors.sum()) / errors.size
-    bias = citation_bias(system)
+    bias = _bias(tc, ec)
     return NoiseReport(
         citing_paper_stats=tuple(
             CitingPaperStats(pr, 1.0 - pe, pe)
@@ -166,7 +170,7 @@ def analyze(system):
         author_pattern_noise=tuple((np.sqrt(within / n) / k).tolist()),
         cited_paper_stats=tuple(
             CitedPaperStats(t / j, t, e, 1.0 - pe, pe)
-            for t, e, pe in zip(tc, ec, pe_cols)
+            for t, e, pe in zip(tc.tolist(), ec.tolist(), pe_cols)
         ),
         pa_mean=1.0 - pe_mean,
         pe_mean=pe_mean,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientReplicates, InvalidConfig
-from .metrics import _grouped, citation_bias
+from .metrics import _bias, _grouped
 from .model import build_system
 
 # Fraction of cells whose unclamped flip probability may leave [0, 1]
@@ -185,23 +185,20 @@ def _sample_realized(latent, rng):
     return np.where(flips, 1 - latent.accurate, latent.accurate).astype(np.int8)
 
 
-def _to_system(config, latent, realized):
-    author_ids = [f"author-{i + 1}" for i in range(config.n_authors)]
-    citing = [
-        (f"paper-{j + 1}", int(latent.author_of_paper[j]))
-        for j in range(config.n_citing)
-    ]
-    cited_ids = [f"cited-{k + 1}" for k in range(config.n_cited)]
-    return build_system(author_ids, citing, cited_ids, realized, latent.accurate)
-
-
 def generate_system(config):
     """Sample one (system, latent truth) pair; deterministic in the seed."""
     config.validate()
     rng_a, rng_l, flip_rngs = _streams(config, 1)
     latent = _sample_latent(config, rng_a, rng_l)
     realized = _sample_realized(latent, flip_rngs[0])
-    return _to_system(config, latent, realized), latent
+    system = build_system(
+        [f"author-{i + 1}" for i in range(config.n_authors)],
+        [(f"paper-{j + 1}", int(a)) for j, a in enumerate(latent.author_of_paper)],
+        [f"cited-{k + 1}" for k in range(config.n_cited)],
+        realized,
+        latent.accurate,
+    )
+    return system, latent
 
 
 def replicate_decisions(config):
@@ -289,11 +286,9 @@ def bias_recovery(config, trials):
     children = np.random.SeedSequence(config.seed).spawn(trials)
     total = 0.0
     for child in children:
-        seq_a, seq_l, seq_flip = child.spawn(3)
-        latent = _sample_latent(
-            config, np.random.default_rng(seq_a), np.random.default_rng(seq_l)
-        )
-        realized = _sample_realized(latent, np.random.default_rng(seq_flip))
-        system = _to_system(config, latent, realized)
-        total += citation_bias(system).bias
+        rng_a, rng_l, rng_flip = map(np.random.default_rng, child.spawn(3))
+        latent = _sample_latent(config, rng_a, rng_l)
+        realized = _sample_realized(latent, rng_flip)
+        # Binary and J x K by construction: the column counts need no system.
+        total += _bias(realized.sum(axis=0), latent.accurate.sum(axis=0)).bias
     return expected_bias(config), total / trials

@@ -329,3 +329,89 @@ class TestCli:
             assert run_cli([*argv, "--out", str(a)]) == 0
             assert run_cli([*argv, "--out", str(b)]) == 0
             assert a.read_bytes() == b.read_bytes()
+
+
+def write_omission_docs(tmp_path, papers, scores, cite_ids=None):
+    sim, cites = tmp_path / "sim.json", tmp_path / "cites.json"
+    sim.write_text(json.dumps({"papers": papers, "scores": scores}))
+    ids = [p["id"] for p in papers] if cite_ids is None else cite_ids
+    cites.write_text(json.dumps({"papers": ids, "cites": [[0] * len(ids)] * len(ids)}))
+    return sim, cites
+
+
+ORDERED = [{"id": "a", "timestamp": 0}, {"id": "b", "timestamp": 1}]
+SCORES = [[0, 0.5], [0.5, 0]]
+
+
+class TestOmissionInputs:
+    """Omission documents that break the indicator end in exit 1, not a traceback."""
+
+    def run(self, capsys, sim, cites):
+        code = run_cli(["omissions", "--sim", str(sim), "--citations", str(cites),
+                        "--k", "1"])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "scores",
+        [[[0, float("nan")], [float("nan"), 0]], [[0, None], [None, 0]],
+         [[float("inf"), 0.5], [0.5, 0]], [[0, 10**400], [10**400, 0]]],
+        ids=["nan", "null", "inf-diagonal", "int-beyond-float"],
+    )
+    def test_unusable_scores_exit_1(self, tmp_path, capsys, scores):
+        code, err = self.run(capsys, *write_omission_docs(tmp_path, ORDERED, scores))
+        assert code == 1
+        assert "Traceback" not in err
+        assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "papers",
+        [
+            [{"id": 1, "timestamp": 0}, {"id": 2, "timestamp": 1}],
+            [{"id": "a", "timestamp": 0}, {"id": "b", "timestamp": "2020"}],
+            [{"id": "a", "timestamp": True}, {"id": "b", "timestamp": False}],
+            [{"id": "a", "timestamp": float("nan")}, {"id": "b", "timestamp": 1}],
+        ],
+        ids=["int-ids", "mixed-timestamps", "bool-timestamps", "nan-timestamp"],
+    )
+    def test_unorderable_papers_exit_1(self, tmp_path, capsys, papers):
+        code, err = self.run(capsys, *write_omission_docs(tmp_path, papers, SCORES))
+        assert code == 1
+        assert "Traceback" not in err
+        assert "error:" in err
+
+    def test_string_timestamps_accepted(self, tmp_path, capsys):
+        papers = [{"id": "b", "timestamp": "2021-03"}, {"id": "a", "timestamp": "2020-01"}]
+        code, _ = self.run(capsys, *write_omission_docs(tmp_path, papers, SCORES))
+        assert code == 0
+
+    def test_id_disagreement_is_parse_error(self, tmp_path):
+        sim, cites = write_omission_docs(tmp_path, ORDERED, SCORES, ["b", "a"])
+        with pytest.raises(ParseError, match="disagree"):
+            cio.load_omission_inputs(sim, cites)
+
+    def test_malformed_json_names_file(self, tmp_path):
+        bad = tmp_path / "sim.json"
+        bad.write_text("{not json")
+        with pytest.raises(ParseError, match="sim.json"):
+            cio.load_omission_inputs(bad, bad)
+
+    def test_loader_returns_checked_similarity(self, tmp_path):
+        sim, cites = cio.load_omission_inputs(*write_omission_docs(tmp_path, ORDERED, SCORES))
+        assert sim.paper_ids == ("a", "b")
+        assert sim.timestamps == (0, 1)
+        assert sim.scores[0, 1] == 0.5
+        assert cites == [[0, 0], [0, 0]]
+
+
+def test_latent_sidecar_is_latent_to_document(tmp_path):
+    config = write_config(tmp_path, seed=3, n_authors=2, papers_per_author=2, n_cited=3,
+                          base_error=0.1)
+    latent_path = tmp_path / "latent.json"
+    assert run_cli(["simulate", "--config", config, "--out", str(tmp_path / "s.json"),
+                    "--latent", str(latent_path)]) == 0
+    _, latent = citenoise.generate_system(citenoise.GenerativeConfig(
+        seed=3, n_authors=2, papers_per_author=2, n_cited=3, base_error=0.1))
+    doc = cio.latent_to_document(latent)
+    assert latent_path.read_text() == cio.dump_json(doc)
+    assert list(doc) == ["schema_version", "author_offsets", "interaction_offsets",
+                         "bias_offsets", "flip_probs", "author_of_paper", "accurate"]

@@ -367,3 +367,26 @@ class TestBiasRecovery:
                      should_cite_prob=0.25, base_error=0.2, bias_shift=0.05)
         # J * ((1 - 2q) e0 + b) = 6 * (0.5 * 0.2 + 0.05)
         assert expected_bias(config) == pytest.approx(6 * 0.15)
+
+    def test_bias_recovery_equals_bias_of_built_systems(self):
+        # Each trial takes the TC-EC gap from column counts without building
+        # a system; the average must equal citation_bias on validated systems
+        # sampled from the same streams.
+        from citenoise import build_system, citation_bias
+        from citenoise.simulate import _sample_latent, _sample_realized
+
+        config = cfg(n_authors=3, papers_per_author=4, n_cited=5,
+                     base_error=0.2, bias_shift=0.05, seed=19)
+        total = 0.0
+        for child in np.random.SeedSequence(config.seed).spawn(100):
+            seq_a, seq_l, seq_flip = (np.random.default_rng(s) for s in child.spawn(3))
+            latent = _sample_latent(config, seq_a, seq_l)
+            system = build_system(
+                [f"a{i}" for i in range(config.n_authors)],
+                [(f"p{j}", a) for j, a in enumerate(latent.author_of_paper)],
+                [f"c{k}" for k in range(config.n_cited)],
+                _sample_realized(latent, seq_flip),
+                latent.accurate,
+            )
+            total += citation_bias(system).bias
+        assert bias_recovery(config, 100) == (expected_bias(config), total / 100)
