@@ -9,6 +9,7 @@ table, a per-citation ledger in a pipe-delimited text format.
 import numbers
 import warnings
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -103,21 +104,28 @@ def omission_indicator(sim, citations, k):
 
     flags = {}
     order = sorted(range(n), key=sim.order_key)
+    ordered_ids = [sim.paper_ids[p] for p in order]
+    # Timestamps are ranked in Python's own order: as floats, two ints
+    # above 2**53 could tie.
+    stamp_rank = {t: r for r, t in enumerate(sorted(set(sim.timestamps)))}
+    rank = np.array([stamp_rank[t] for t in sim.timestamps], dtype=np.int64)
+    order = np.array(order, dtype=np.int64)
     for position in range(1, n):  # the first paper has no predecessors
         j, earlier = order[position], order[:position]
-        if k > len(earlier):
+        if k > position:
             warnings.warn(
-                f"k={k} exceeds {len(earlier)} predecessors of "
+                f"k={k} exceeds {position} predecessors of "
                 f"{sim.paper_ids[j]!r}; using all of them",
                 stacklevel=2,
             )
-        ranked = sorted(
-            earlier, key=lambda p: (-sim.scores[j, p], sim.timestamps[p], p)
+        # Most similar first; ties go to the earlier timestamp, then input order.
+        top = earlier[np.lexsort((earlier, rank[earlier], -sim.scores[j, earlier]))[:k]]
+        flag = np.zeros(n, dtype=np.int8)
+        flag[top] = c[j, top] == 0
+        flags.update(
+            zip(zip(repeat(ordered_ids[position]), ordered_ids[:position]),
+                flag[earlier].tolist())
         )
-        most_similar = set(ranked[:k])
-        for p in earlier:
-            flag = 1 if p in most_similar and c[j, p] == 0 else 0
-            flags[(sim.paper_ids[j], sim.paper_ids[p])] = flag
     return OmissionFlags(flags)
 
 

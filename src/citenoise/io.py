@@ -4,8 +4,9 @@ Every JSON input is decoded by :func:`read_json`. Two on-disk system
 representations are supported: a JSON document (schema_version "1") and a
 pair of CSV matrices. The CSV layout is one header row
 ``citing_paper,author,<cited ids...>`` followed by one row per citing paper
-with its id, author id, and 0/1 cells; the realized and accurate files must
-agree on all ids.
+with its id, author id, and one cell per cited paper; a cell is exactly
+``0`` or ``1``, with no spaces. The realized and accurate files must agree on
+all ids, and each loaded matrix takes J·K bytes (int8).
 """
 
 import csv
@@ -13,6 +14,8 @@ import dataclasses
 import io as _io
 import json
 from decimal import ROUND_HALF_UP, Decimal
+
+import numpy as np
 
 from .audit import build_similarity
 from .errors import ParseError, SchemaVersionUnsupported
@@ -99,55 +102,90 @@ def latent_to_document(latent):
     return doc
 
 
+# The Python types json gives each kind of JSON value; bool is neither.
+_JSON_TYPES = {"number": frozenset((int, float)), "integer": frozenset((int,))}
+
+
+def _check_matrix(rows, field, kind):
+    """ValueError unless ``rows`` is a list of equal-length lists of JSON
+    values of ``kind``."""
+    if type(rows) is not list or not all(type(row) is list for row in rows):
+        raise ValueError(f"'{field}' must be a list of lists")
+    types = _JSON_TYPES[kind]
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise ValueError(
+                f"'{field}' is ragged: row {i} has {len(row)} entries, "
+                f"row 0 has {len(rows[0])}"
+            )
+        if not types.issuperset(map(type, row)):
+            value = next(x for x in row if type(x) not in types)
+            raise ValueError(f"'{field}' row {i} holds {value!r}, not a JSON {kind}")
+
+
 def load_omission_inputs(sim_path, cites_path):
     """(SimilarityMatrix, citation rows) for the omission indicator.
 
     Documents: ``{"papers": [{"id", "timestamp"}, ...], "scores": n x n}``
-    and ``{"papers": [the same ids, in order], "cites": n x n}``.
+    and ``{"papers": [the same ids, in order], "cites": n x n}``. Scores are
+    JSON numbers and citation entries the JSON integers 0 and 1; strings,
+    ``true``/``false`` and ``0.0`` are rejected.
     """
     sim_doc = read_json(sim_path)
     try:
         papers = sim_doc["papers"]
         ids = [p["id"] for p in papers]
+        _check_matrix(sim_doc["scores"], "scores", "number")
         sim = build_similarity(ids, [p["timestamp"] for p in papers], sim_doc["scores"])
-    except (KeyError, TypeError, OverflowError) as exc:  # an int beyond float range
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: a JSON integer beyond float range
         raise ParseError(f"{sim_path}: malformed similarity document: {exc}") from exc
     cite_doc = read_json(cites_path)
     try:
         if list(cite_doc["papers"]) != ids:
             raise ParseError("citation document paper ids disagree with similarity")
+        _check_matrix(cite_doc["cites"], "cites", "integer")
         return sim, cite_doc["cites"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{cites_path}: malformed citation document: {exc}") from exc
 
 
 # -- CSV matrix pairs ---------------------------------------------------------
 
 
+_BINARY_CELLS = frozenset(("0", "1"))
+
+
 def _read_matrix_csv(path):
+    """(cited ids, [(citing id, author id)], J x K int8 matrix) of one CSV file.
+
+    Each row is checked whole, and all rows are decoded at once at the end:
+    a cell is exactly "0" or "1", so the joined rows are one byte per cell.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or len(rows[0]) < 3:
-        raise ParseError(f"{path}: expected header 'citing_paper,author,<cited ids>'")
-    cited_ids = rows[0][2:]
-    citing = []
-    matrix = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(rows[0]):
-            raise ParseError(f"{path}:{lineno}: expected {len(rows[0])} fields")
-        values = []
-        for col, cell in enumerate(row[2:]):
-            if cell not in ("0", "1"):
+        rows = csv.reader(fh)
+        header = next(rows, [])
+        if len(header) < 3:
+            raise ParseError(f"{path}: expected header 'citing_paper,author,<cited ids>'")
+        cited_ids = header[2:]
+        citing = []
+        parts = []
+        for lineno, row in enumerate(rows, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"{path}:{lineno}: expected {len(header)} fields")
+            cells = row[2:]
+            if not _BINARY_CELLS.issuperset(cells):
+                col = next(i for i, cell in enumerate(cells) if cell not in _BINARY_CELLS)
                 raise ParseError(
-                    f"{path}:{lineno}: non-binary value {cell!r} in column "
+                    f"{path}:{lineno}: non-binary value {cells[col]!r} in column "
                     f"{cited_ids[col]!r}"
                 )
-            values.append(int(cell))
-        citing.append((row[0], row[1]))
-        matrix.append(values)
-    return cited_ids, citing, matrix
+            citing.append((row[0], row[1]))
+            parts.append("".join(cells))
+    matrix = np.frombuffer("".join(parts).encode("ascii"), np.int8) - ord("0")
+    return cited_ids, citing, matrix.reshape(len(parts), len(cited_ids))
 
 
 def load_system_csv(realized_path, accurate_path):

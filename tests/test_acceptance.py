@@ -34,7 +34,7 @@ from citenoise import io as cio
 from citenoise.cli import run_cli
 from citenoise.metrics import BiasDirection
 
-from conftest import random_system
+from systems import random_system
 from test_audit import brute_force_flags, random_similarity
 
 

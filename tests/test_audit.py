@@ -83,6 +83,32 @@ class TestOmissionIndicator:
             got = omission_indicator(sim, cites, k)
             assert got.flags == brute_force_flags(sim, cites, k)
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_ties_match_brute_force_oracle(self, rng):
+        """Tied scores and timestamps, some of them ints that floats cannot tell apart."""
+        big = 2**53
+        for stamps_from in ([0, 1, 2], [big, big + 1, big + 2], ["2020", "2021"]):
+            n = 16
+            raw = rng.integers(0, 3, (n, n)) / 2
+            scores = np.maximum(raw, raw.T)
+            np.fill_diagonal(scores, 0.0)
+            stamps = [stamps_from[i] for i in rng.integers(0, len(stamps_from), n)]
+            sim = build_similarity([f"paper{i}" for i in range(n)], stamps, scores)
+            cites = rng.integers(0, 2, (n, n))
+            for k in (1, 2, 4):
+                got = omission_indicator(sim, cites, k)
+                assert got.flags == brute_force_flags(sim, cites, k)
+
+    def test_int_timestamps_beyond_float_precision_break_ties(self):
+        big = 2**53  # float(big) == float(big + 1)
+        sim = build_similarity(
+            ["later", "earlier", "new"], [big + 1, big, big + 2],
+            [[0, 0.5, 0.5], [0.5, 0, 0.5], [0.5, 0.5, 0]],
+        )
+        flags = omission_indicator(sim, np.zeros((3, 3), dtype=int), k=1).flags
+        assert flags[("new", "earlier")] == 1
+        assert flags[("new", "later")] == 0
+
     def test_k_too_large_warns_and_uses_all(self):
         sim = build_similarity(["a", "b"], [0, 1], [[0, 0.5], [0.5, 0]])
         with pytest.warns(UserWarning):

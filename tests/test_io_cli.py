@@ -1,9 +1,11 @@
+import csv
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import citenoise
@@ -11,6 +13,7 @@ import citenoise
 from citenoise import analyze, builtin_fixture
 from citenoise.cli import run_cli
 from citenoise.errors import (
+    EmptySystem,
     NonBinaryEntry,
     ParseError,
     SchemaVersionUnsupported,
@@ -19,7 +22,7 @@ from citenoise.errors import (
 from citenoise.fixtures import fixture_names
 from citenoise import io as cio
 
-from conftest import random_system
+from systems import random_system
 
 
 class TestFixtures:
@@ -150,6 +153,127 @@ def canonical_author_order(system):
         system.realized,
         system.accurate,
     )
+
+
+def reference_read_matrix_csv(path):
+    """Per-cell reference reader: checks and converts every cell in Python."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or len(rows[0]) < 3:
+        raise ParseError(f"{path}: expected header 'citing_paper,author,<cited ids>'")
+    cited_ids = rows[0][2:]
+    citing = []
+    matrix = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(rows[0]):
+            raise ParseError(f"{path}:{lineno}: expected {len(rows[0])} fields")
+        values = []
+        for col, cell in enumerate(row[2:]):
+            if cell not in ("0", "1"):
+                raise ParseError(
+                    f"{path}:{lineno}: non-binary value {cell!r} in column "
+                    f"{cited_ids[col]!r}"
+                )
+            values.append(int(cell))
+        citing.append((row[0], row[1]))
+        matrix.append(values)
+    return cited_ids, citing, matrix
+
+
+def quoted_ids_system(rng):
+    """A random system whose ids need CSV quoting: commas, quotes, spaces."""
+    s = canonical_author_order(random_system(rng))
+    return citenoise.build_system(
+        [f'a,{i} "x"' for i in range(s.n_authors)],
+        [(f'p"{j}", q', ai) for j, (_, ai) in enumerate(s.citing_papers)],
+        [f"c {k},y" for k in range(s.n_cited)],
+        s.realized,
+        s.accurate,
+    )
+
+
+def with_blank_lines_and_crlf(path):
+    """Rewrite a CSV file with CRLF endings and a blank line after every row."""
+    text = path.read_text(encoding="utf-8")
+    path.write_bytes(text.replace("\n", "\r\n\r\n").encode("utf-8"))
+
+
+class TestCsvReader:
+    def write_pair(self, tmp_path, system):
+        rp, ap = tmp_path / "R.csv", tmp_path / "A.csv"
+        cio.save_system_csv(system, rp, ap)
+        return rp, ap
+
+    def test_matches_reference_reader(self, tmp_path, rng):
+        for trial in range(8):
+            s = quoted_ids_system(rng)
+            rp, ap = self.write_pair(tmp_path, s)
+            if trial % 2:
+                with_blank_lines_and_crlf(rp)
+                with_blank_lines_and_crlf(ap)
+            for path in (rp, ap):
+                cited, citing, matrix = cio._read_matrix_csv(path)
+                ref_cited, ref_citing, ref_matrix = reference_read_matrix_csv(path)
+                assert (cited, citing) == (ref_cited, ref_citing)
+                assert matrix.dtype == np.int8
+                assert matrix.shape == (s.n_citing, s.n_cited)
+                assert np.array_equal(matrix, np.asarray(ref_matrix))
+            cio.save_system(s, tmp_path / "sys.json")
+            assert cio.load_system_csv(rp, ap) == cio.load_system(tmp_path / "sys.json")
+
+    def bad_file(self, tmp_path, cell, line=4, col=3):
+        """R.csv of a random system with one cell replaced at (line, col)."""
+        s = quoted_ids_system(np.random.default_rng(7))
+        rp, ap = self.write_pair(tmp_path, s)
+        with open(rp, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        rows[line - 1][2 + col] = cell
+        with open(rp, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        return s, rp, ap
+
+    @pytest.mark.parametrize("cell", ["2", " 0", "00", ""])
+    def test_bad_cell_names_line_and_cited_id(self, tmp_path, cell):
+        s, rp, ap = self.bad_file(tmp_path, cell)
+        with pytest.raises(ParseError) as ref:
+            reference_read_matrix_csv(rp)
+        with pytest.raises(ParseError) as got:
+            cio.load_system_csv(rp, ap)
+        assert str(got.value) == str(ref.value)
+        assert f"R.csv:4: non-binary value {cell!r}" in str(got.value)
+        assert repr(s.cited_paper_ids[3]) in str(got.value)
+
+    def test_bad_cell_line_counts_blank_lines(self, tmp_path):
+        _, rp, ap = self.bad_file(tmp_path, "x", line=3, col=2)
+        with_blank_lines_and_crlf(rp)  # the bad row is now line 5
+        with pytest.raises(ParseError, match=r"R\.csv:5: non-binary value 'x'") as got:
+            cio.load_system_csv(rp, ap)
+        with pytest.raises(ParseError) as ref:
+            reference_read_matrix_csv(rp)
+        assert str(got.value) == str(ref.value)
+
+    def test_short_row(self, tmp_path):
+        s = quoted_ids_system(np.random.default_rng(7))
+        rp, ap = self.write_pair(tmp_path, s)
+        lines = rp.read_text(encoding="utf-8").splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        rp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"R\\.csv:3: expected {s.n_cited + 2} fields"):
+            cio.load_system_csv(rp, ap)
+
+    def test_header_only_is_empty_system(self, tmp_path):
+        for path in (tmp_path / "R.csv", tmp_path / "A.csv"):
+            path.write_text("citing_paper,author,c0,c1\n", encoding="utf-8")
+        with pytest.raises(EmptySystem):
+            cio.load_system_csv(tmp_path / "R.csv", tmp_path / "A.csv")
+
+    def test_empty_file_is_parse_error(self, tmp_path):
+        for path in (tmp_path / "R.csv", tmp_path / "A.csv"):
+            path.write_text("", encoding="utf-8")
+        with pytest.raises(ParseError, match="expected header"):
+            cio.load_system_csv(tmp_path / "R.csv", tmp_path / "A.csv")
 
 
 def write_config(tmp_path, **kw):
@@ -378,6 +502,48 @@ class TestOmissionInputs:
         assert code == 1
         assert "Traceback" not in err
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "scores",
+        [[[0, "0.5"], ["0.5", 0]], [[" 0 ", "0"], ["0", " 0 "]],
+         [[0, True], [True, 0]], [[False, 0.5], [0.5, False]]],
+        ids=["string", "padded-string", "true", "false"],
+    )
+    def test_non_number_scores_exit_1(self, tmp_path, capsys, scores):
+        code, err = self.run(capsys, *write_omission_docs(tmp_path, ORDERED, scores))
+        assert code == 1
+        assert "Traceback" not in err
+        assert "'scores' row 0 holds " in err
+        assert "not a JSON number" in err
+
+    @pytest.mark.parametrize(
+        "cites",
+        [[[0, True], [0, 0]], [[0, 0], [False, 0]], [[0, 0.0], [0, 0]],
+         [[0, 1.0], [0, 0]], [[0, "1"], [0, 0]]],
+        ids=["true", "false", "float-zero", "float-one", "string"],
+    )
+    def test_non_integer_cites_exit_1(self, tmp_path, capsys, cites):
+        sim, cites_path = write_omission_docs(tmp_path, ORDERED, SCORES)
+        cites_path.write_text(json.dumps({"papers": ["a", "b"], "cites": cites}))
+        code, err = self.run(capsys, sim, cites_path)
+        assert code == 1
+        assert "Traceback" not in err
+        assert "not a JSON integer" in err
+
+    def test_ragged_scores_name_file_and_field(self, tmp_path, capsys):
+        sim, cites = write_omission_docs(tmp_path, ORDERED, [[0, 0.5], [0.5]])
+        code, err = self.run(capsys, sim, cites)
+        assert code == 1
+        assert "Traceback" not in err
+        assert f"{sim}: malformed similarity document: 'scores' is ragged" in err
+
+    def test_ragged_cites_name_file_and_field(self, tmp_path, capsys):
+        sim, cites = write_omission_docs(tmp_path, ORDERED, SCORES)
+        cites.write_text(json.dumps({"papers": ["a", "b"], "cites": [[0, 0], [0]]}))
+        code, err = self.run(capsys, sim, cites)
+        assert code == 1
+        assert "Traceback" not in err
+        assert f"{cites}: malformed citation document: 'cites' is ragged" in err
 
     def test_string_timestamps_accepted(self, tmp_path, capsys):
         papers = [{"id": "b", "timestamp": "2021-03"}, {"id": "a", "timestamp": "2020-01"}]

@@ -23,7 +23,7 @@ from citenoise import (
     system_noise,
 )
 
-from conftest import random_system
+from systems import random_system
 
 TABLE3_SIGMA_LN = math.sqrt(330 / 1331)  # frozen from the fixture's row data
 

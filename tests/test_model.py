@@ -16,7 +16,7 @@ from citenoise.errors import (
     UnknownAuthor,
 )
 
-from conftest import random_system
+from systems import random_system
 
 
 def table1_inputs():
