@@ -21,20 +21,11 @@ from .metrics import (
     CitingPaperStats,
     NoiseReport,
     analyze,
-    author_error_rate,
-    author_pattern_noise,
     citation_bias,
-    cited_paper_stats,
-    citing_paper_stats,
-    level_noise,
-    pattern_noise,
-    system_accuracy,
-    system_noise,
 )
 from .model import (
     CitationSystem,
     DecisionClass,
-    ErrorMatrix,
     build_system,
     classify_decision,
     error_matrix,

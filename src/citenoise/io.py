@@ -47,26 +47,35 @@ def system_to_document(system):
     }
 
 
+def _strings(value, what):
+    """``value`` if it is a list of strings; TypeError naming ``what`` otherwise."""
+    if type(value) is list and all(type(x) is str for x in value):
+        return value
+    raise TypeError(f"{what} must be a list of strings")
+
+
 def system_from_document(doc):
+    """The system of a schema "1" document; every id must be a JSON string."""
     if not isinstance(doc, dict):
         raise ParseError("system document must be a JSON object")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaVersionUnsupported(f"schema_version {version!r} not supported")
     try:
-        author_ids = doc["author_ids"]
+        author_ids = _strings(doc["author_ids"], "'author_ids'")
+        entries = doc["citing_papers"]
+        if type(entries) is not list:
+            raise TypeError("'citing_papers' must be a list")
+        paper_ids = _strings([e["id"] for e in entries], "citing paper ids")
+        owners = _strings([e["author_id"] for e in entries], "citing paper author ids")
         author_index = {a: i for i, a in enumerate(author_ids)}
         citing = []
-        for entry in doc["citing_papers"]:
-            if entry["author_id"] not in author_index:
-                raise ParseError(
-                    f"citing paper {entry['id']!r} names unknown author "
-                    f"{entry['author_id']!r}"
-                )
-            citing.append((entry["id"], author_index[entry["author_id"]]))
-        return build_system(
-            author_ids, citing, doc["cited_paper_ids"], doc["realized"], doc["accurate"]
-        )
+        for pid, owner in zip(paper_ids, owners):
+            if owner not in author_index:
+                raise ParseError(f"citing paper {pid!r} names unknown author {owner!r}")
+            citing.append((pid, author_index[owner]))
+        cited_ids = _strings(doc["cited_paper_ids"], "'cited_paper_ids'")
+        return build_system(author_ids, citing, cited_ids, doc["realized"], doc["accurate"])
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed system document: {exc}") from exc
 
@@ -219,10 +228,6 @@ def save_system_csv(system, realized_path, accurate_path):
 
 def report_to_document(report, system):
     """Full-precision report plus two-decimal printed renderings."""
-
-    def printed(x):
-        return _round_printed(x)
-
     return {
         "schema_version": SCHEMA_VERSION,
         "citing_papers": [
@@ -240,7 +245,10 @@ def report_to_document(report, system):
                 "id": aid,
                 "error_rate": er,
                 "pattern_noise": pn,
-                "printed": {"error_rate": printed(er), "pattern_noise": printed(pn)},
+                "printed": {
+                    "error_rate": _round_printed(er),
+                    "pattern_noise": _round_printed(pn),
+                },
             }
             for aid, er, pn in zip(
                 system.author_ids, report.author_error_rates, report.author_pattern_noise
@@ -260,14 +268,14 @@ def report_to_document(report, system):
         "bias": report.bias,
         "bias_direction": report.bias_direction.value,
         "printed": {
-            "pa_mean": printed(report.pa_mean),
-            "pe_mean": printed(report.pe_mean),
-            "sigma_ln": printed(report.sigma_ln),
-            "sigma_pn": printed(report.sigma_pn),
-            "sigma_sys": printed(report.sigma_sys),
-            "mean_tc": printed(report.mean_tc),
-            "mean_ec": printed(report.mean_ec),
-            "bias": printed(report.bias),
+            "pa_mean": _round_printed(report.pa_mean),
+            "pe_mean": _round_printed(report.pe_mean),
+            "sigma_ln": _round_printed(report.sigma_ln),
+            "sigma_pn": _round_printed(report.sigma_pn),
+            "sigma_sys": _round_printed(report.sigma_sys),
+            "mean_tc": _round_printed(report.mean_tc),
+            "mean_ec": _round_printed(report.mean_ec),
+            "bias": _round_printed(report.bias),
         },
     }
 

@@ -6,6 +6,10 @@ aggregates weight authors by their paper counts. Level noise is the
 between-author standard deviation of error rates, pattern noise the
 paper-weighted root-mean of within-author variances, and the two combine
 in quadrature into the overall system noise.
+
+:func:`analyze` computes all of them in one pass and returns a
+:class:`NoiseReport`; its fields are the only way to read a statistic.
+:func:`citation_bias` gives the TC-EC gap alone, from column counts.
 """
 
 import math
@@ -13,6 +17,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+from .model import error_matrix
 
 
 class BiasDirection(Enum):
@@ -76,58 +82,6 @@ def _grouped(values, group, n_groups):
     return n, sums, within
 
 
-def _check_index(i, size, what):
-    if not 0 <= i < size:
-        raise IndexError(f"{what} index {i} out of range")
-
-
-def citing_paper_stats(system, j):
-    _check_index(j, system.n_citing, "citing paper")
-    row_r, k = system.realized[j], system.n_cited
-    pe = np.count_nonzero(row_r != system.accurate[j]) / k
-    return CitingPaperStats(pr=np.count_nonzero(row_r) / k, pa=1.0 - pe, pe=pe)
-
-
-def author_error_rate(system, i):
-    """Mean per-paper error rate over author i's citing papers."""
-    _check_index(i, system.n_authors, "author")
-    return analyze(system).author_error_rates[i]
-
-
-def cited_paper_stats(system, k):
-    _check_index(k, system.n_cited, "cited paper")
-    col_r, col_a, j = system.realized[:, k], system.accurate[:, k], system.n_citing
-    tc, ec = np.count_nonzero(col_r), np.count_nonzero(col_a)
-    pe = np.count_nonzero(col_r != col_a) / j
-    return CitedPaperStats(pr=tc / j, tc=tc, ec=ec, pa=1.0 - pe, pe=pe)
-
-
-def system_accuracy(system):
-    """(mean accuracy, mean error rate) across all citing papers."""
-    report = analyze(system)
-    return report.pa_mean, report.pe_mean
-
-
-def level_noise(system):
-    """Between-author standard deviation of error rates, paper-weighted."""
-    return analyze(system).sigma_ln
-
-
-def author_pattern_noise(system, i):
-    """Within-author standard deviation of per-paper error rates."""
-    _check_index(i, system.n_authors, "author")
-    return analyze(system).author_pattern_noise[i]
-
-
-def pattern_noise(system):
-    """Root of the paper-weighted mean of squared author pattern noises."""
-    return analyze(system).sigma_pn
-
-
-def system_noise(system):
-    return analyze(system).sigma_sys
-
-
 def _bias(tc, ec):
     """Signed TC-EC gap from per-cited-paper realized and expected counts."""
     mean_tc, mean_ec = float(np.mean(tc)), float(np.mean(ec))
@@ -149,7 +103,7 @@ def citation_bias(system):
 def analyze(system):
     """Every decomposition statistic, from integer error and citation counts."""
     j, k = system.n_citing, system.n_cited
-    errors = system.realized != system.accurate
+    errors = error_matrix(system)
     row_errors = np.count_nonzero(errors, axis=1)
     authors = np.fromiter((a for _, a in system.citing_papers), np.intp, j)
     n, sums, within = _grouped(row_errors, authors, system.n_authors)

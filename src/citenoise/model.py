@@ -6,6 +6,7 @@ citations should have been made). Every downstream statistic is a function
 of this pair plus the author -> citing-paper assignment.
 """
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -97,18 +98,6 @@ class CitationSystem:
         )
 
 
-@dataclass(frozen=True)
-class ErrorMatrix:
-    """Cell-wise disagreement between realized and accurate decisions."""
-
-    entries: np.ndarray
-
-    def __eq__(self, other):
-        if not isinstance(other, ErrorMatrix):
-            return NotImplemented
-        return np.array_equal(self.entries, other.entries)
-
-
 def _check_unique(ids, what):
     seen = set()
     for x in ids:
@@ -117,14 +106,26 @@ def _check_unique(ids, what):
         seen.add(x)
 
 
+def _author_index(pid, ai):
+    """``ai`` as an int; a bool, float or string is not an author index."""
+    try:
+        if isinstance(ai, bool):
+            raise TypeError
+        return operator.index(ai)
+    except TypeError:
+        raise UnknownAuthor(
+            f"citing paper {pid!r} references author index {ai!r}, not an integer"
+        ) from None
+
+
 def build_system(author_ids, citing_papers, cited_paper_ids, realized, accurate):
     """Validate raw inputs and assemble an immutable CitationSystem.
 
     ``citing_papers`` is a sequence of (paper_id, author_index) pairs; the
-    author index refers into ``author_ids``. Matrices are row-major J x K.
+    index into ``author_ids`` is an int, not a bool. Matrices are row-major J x K.
     """
     author_ids = tuple(author_ids)
-    citing_papers = tuple((pid, int(ai)) for pid, ai in citing_papers)
+    citing_papers = tuple((pid, _author_index(pid, ai)) for pid, ai in citing_papers)
     cited_paper_ids = tuple(cited_paper_ids)
 
     if not citing_papers or not cited_paper_ids or not author_ids:
@@ -160,7 +161,7 @@ def build_system(author_ids, citing_papers, cited_paper_ids, realized, accurate)
 
 
 def error_matrix(system):
-    """E[j][k] = 1 exactly where realized and accurate decisions differ."""
-    e = np.abs(system.realized.astype(np.int8) - system.accurate.astype(np.int8))
+    """Read-only J x K int8 array, 1 exactly where realized and accurate differ."""
+    e = (system.realized != system.accurate).view(np.int8)
     e.setflags(write=False)
-    return ErrorMatrix(e)
+    return e

@@ -129,11 +129,10 @@ class LatentTruth:
 
 @dataclass(frozen=True)
 class ReplicateSet:
-    """Repeated realized matrices over one accurate matrix and latent truth."""
+    """Repeated realized matrices over one latent truth, which holds the
+    shared accurate matrix and author labels."""
 
     realized: tuple  # T matrices, each J x K
-    accurate: np.ndarray
-    author_of_paper: np.ndarray
     latent: LatentTruth
 
 
@@ -209,12 +208,7 @@ def replicate_decisions(config):
     rng_a, rng_l, flip_rngs = _streams(config, config.replicates)
     latent = _sample_latent(config, rng_a, rng_l)
     realized = tuple(_sample_realized(latent, rng) for rng in flip_rngs)
-    return ReplicateSet(
-        realized=realized,
-        accurate=latent.accurate,
-        author_of_paper=latent.author_of_paper,
-        latent=latent,
-    )
+    return ReplicateSet(realized=realized, latent=latent)
 
 
 def decompose_pattern_noise(replicates):
@@ -233,12 +227,13 @@ def decompose_pattern_noise(replicates):
     # sufficient: the squared deviations of its T indicators around their
     # mean sum to s (T - s) / T, and the kernel's within-author term on s is
     # T^2 times that of the cell means around their author's mean.
-    s = np.zeros(replicates.accurate.shape, dtype=np.int64)
+    latent = replicates.latent
+    s = np.zeros(latent.accurate.shape, dtype=np.int64)
     for realized in replicates.realized:
-        s += realized != replicates.accurate
+        s += realized != latent.accurate
     spread = float((s * (t - s)).sum())
     occasion_var = spread / (t * (t - 1) * s.size)
-    labels, author = np.unique(replicates.author_of_paper, return_inverse=True)
+    labels, author = np.unique(latent.author_of_paper, return_inverse=True)
     _, _, within = _grouped(s, author, len(labels))
     total_var = (spread + within.sum()) / (t * t * s.size)
 

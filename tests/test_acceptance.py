@@ -21,10 +21,8 @@ from citenoise import (
     builtin_fixture,
     decompose_pattern_noise,
     generate_system,
-    level_noise,
     omission_indicator,
     parse_justification_table,
-    pattern_noise,
     replicate_decisions,
     serialize_justification_table,
     audit_justification,
@@ -93,8 +91,8 @@ def test_criterion_4_pythagorean_identity():
     rng = np.random.default_rng(4)
     for _ in range(1000):
         s = random_system(rng, max_authors=8, max_papers=30, max_cited=15)
-        ln, pn = level_noise(s), pattern_noise(s)
         r = analyze(s)
+        ln, pn = r.sigma_ln, r.sigma_pn
         assert abs(r.sigma_sys**2 - (ln**2 + pn**2)) < 1e-9
         pe_rows = np.abs(s.realized - s.accurate).mean(axis=1)
         total_var = float(((pe_rows - pe_rows.mean()) ** 2).mean())

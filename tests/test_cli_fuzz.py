@@ -1,13 +1,13 @@
-"""Fuzzed omission documents through the CLI: every input ends in an exit code.
+"""Fuzzed documents through the CLI: every input ends in an exit code.
 
 A result (0), a citenoise error (1) or a usage error (2) are the only allowed
 ends; no exception may escape ``run_cli`` and no traceback may reach stderr.
-Each example starts from a valid similarity / citation document pair, may
-give one paper's id or timestamp a value of another type, and applies up to
-three more mutations, each one deleting or replacing one node of either
-JSON tree. That yields missing keys, wrong types, NaN or null scores,
-mixed-type ids and timestamps, and ragged matrices, while unmutated pairs
-still reach the omission indicator.
+Each example starts from valid documents (an omission similarity / citation
+pair, or a small system document), may give one id or timestamp a value of
+another type, and applies up to three more mutations, each one deleting or
+replacing one node of a JSON tree. That yields missing keys, wrong types,
+NaN or null values, mixed-type ids and timestamps, and ragged matrices,
+while unmutated documents still reach the analysis.
 """
 
 import contextlib
@@ -18,7 +18,7 @@ import operator
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from citenoise.cli import run_cli
@@ -73,13 +73,8 @@ def _position(path):
     return (path[0], *("*" if isinstance(key, int) else key for key in path[1:]))
 
 
-@st.composite
-def omission_documents(draw):
-    docs = draw(valid_documents())
-    papers = docs[0]["papers"]
-    if papers and draw(st.booleans()):  # one id or timestamp of another type
-        field = draw(st.sampled_from(["id", "timestamp"]))
-        draw(st.sampled_from(papers))[field] = draw(scalars)
+def mutate(draw, docs):
+    """Delete or replace up to three nodes of the JSON trees in ``docs``."""
     for _ in range(draw(st.integers(0, 3))):
         # Pick a schema position first, so that ids and timestamps are hit
         # as often as the far more numerous matrix cells.
@@ -96,17 +91,88 @@ def omission_documents(draw):
     return docs
 
 
+def run_on_documents(docs, argv):
+    """Exit code and stderr of ``run_cli`` with ``{i}`` in argv the i-th file."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [str(Path(tmp) / f"doc{i}.json") for i in range(len(docs))]
+        for path, doc in zip(paths, docs):
+            Path(path).write_text(json.dumps(doc), encoding="utf-8")
+        argv = [arg.format(*paths) for arg in argv]
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run_cli(argv)
+    return code, stderr.getvalue()
+
+
+@st.composite
+def omission_documents(draw):
+    docs = draw(valid_documents())
+    papers = docs[0]["papers"]
+    if papers and draw(st.booleans()):  # one id or timestamp of another type
+        field = draw(st.sampled_from(["id", "timestamp"]))
+        draw(st.sampled_from(papers))[field] = draw(scalars)
+    return mutate(draw, docs)
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(docs=omission_documents(), k=st.integers(0, 6))
 def test_malformed_omission_documents_end_in_an_exit_code(docs, k):
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = [Path(tmp) / "sim.json", Path(tmp) / "cites.json"]
-        for path, doc in zip(paths, docs):
-            path.write_text(json.dumps(doc), encoding="utf-8")
-        argv = ["omissions", "--sim", str(paths[0]), "--citations", str(paths[1]),
-                "--k", str(k)]
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = run_cli(argv)
+    code, err = run_on_documents(
+        docs, ["omissions", "--sim", "{0}", "--citations", "{1}", "--k", str(k)]
+    )
     assert code in (0, 1, 2)
-    assert "Traceback" not in stderr.getvalue()
+    assert "Traceback" not in err
+
+
+id_text = st.text(min_size=1, max_size=3)
+
+
+@st.composite
+def system_documents(draw):
+    """One valid system document of at most 5 citing and 5 cited papers."""
+    author_ids = draw(st.lists(id_text, min_size=1, max_size=3, unique=True))
+    owners = author_ids + draw(st.lists(st.sampled_from(author_ids), max_size=2))
+    paper_ids = draw(st.lists(id_text, min_size=len(owners), max_size=len(owners),
+                              unique=True))
+    cited_ids = draw(st.lists(id_text, min_size=1, max_size=5, unique=True))
+    matrix = st.lists(
+        st.lists(st.sampled_from([0, 1]), min_size=len(cited_ids), max_size=len(cited_ids)),
+        min_size=len(owners), max_size=len(owners),
+    )
+    doc = {
+        "schema_version": "1",
+        "author_ids": author_ids,
+        "citing_papers": [{"id": p, "author_id": a} for p, a in zip(paper_ids, owners)],
+        "cited_paper_ids": cited_ids,
+        "realized": draw(matrix),
+        "accurate": draw(matrix),
+    }
+    if draw(st.booleans()):  # one id of another type
+        field = draw(st.sampled_from(["author_ids", "id", "author_id", "cited_paper_ids"]))
+        if field in ("id", "author_id"):
+            node, key = draw(st.sampled_from(doc["citing_papers"])), field
+        else:
+            node, key = doc[field], draw(st.integers(0, len(doc[field]) - 1))
+        node[key] = draw(scalars)
+    return mutate(draw, [doc])
+
+
+# Always tried: a null citing-paper id, which the table format cannot print.
+NULL_CITING_ID = {
+    "schema_version": "1",
+    "author_ids": ["a"],
+    "citing_papers": [{"id": None, "author_id": "a"}],
+    "cited_paper_ids": ["c"],
+    "realized": [[1]],
+    "accurate": [[0]],
+}
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(docs=system_documents())
+@example(docs=[NULL_CITING_ID])
+def test_malformed_system_documents_end_in_an_exit_code(docs):
+    for fmt in ("json", "table"):
+        code, err = run_on_documents(docs, ["analyze", "--input", "{0}", "--format", fmt])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err

@@ -455,6 +455,62 @@ class TestCli:
             assert a.read_bytes() == b.read_bytes()
 
 
+def two_author_document():
+    return {
+        "schema_version": "1",
+        "author_ids": ["a", "b"],
+        "citing_papers": [{"id": "p", "author_id": "a"}, {"id": "q", "author_id": "b"}],
+        "cited_paper_ids": ["c", "d"],
+        "realized": [[1, 0], [0, 1]],
+        "accurate": [[1, 1], [0, 1]],
+    }
+
+
+def _set(doc, path, value):
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+class TestSystemDocumentTypes:
+    """Ids are JSON strings in lists; anything else is exit 1, not a traceback."""
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            [(("citing_papers", 0, "id"), None)],
+            [(("cited_paper_ids", 1), None)],
+            [(("author_ids", 0), None), (("citing_papers", 0, "author_id"), None)],
+            [(("author_ids",), "ab")],
+            [(("cited_paper_ids",), "cd")],
+            [(("citing_papers",), {"id": "p", "author_id": "a"})],
+            [(("citing_papers", 1, "id"), 7)],
+            [(("author_ids", 1), 1), (("citing_papers", 1, "author_id"), 1)],
+        ],
+        ids=["null-citing-id", "null-cited-id", "null-author-id", "string-author-ids",
+             "string-cited-ids", "object-citing-papers", "int-citing-id", "int-author-id"],
+    )
+    def test_non_string_ids_exit_1(self, tmp_path, capsys, fmt, changes):
+        doc = two_author_document()
+        for path, value in changes:
+            _set(doc, path, value)
+        p = tmp_path / "sys.json"
+        p.write_text(json.dumps(doc))
+        code = run_cli(["analyze", "--input", str(p), "--format", fmt])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert "error: malformed system document" in err
+
+    def test_valid_document_analyzes(self, tmp_path, capsys):
+        p = tmp_path / "sys.json"
+        p.write_text(json.dumps(two_author_document()))
+        for fmt in ("json", "table"):
+            assert run_cli(["analyze", "--input", str(p), "--format", fmt]) == 0
+
+
 def write_omission_docs(tmp_path, papers, scores, cite_ids=None):
     sim, cites = tmp_path / "sim.json", tmp_path / "cites.json"
     sim.write_text(json.dumps({"papers": papers, "scores": scores}))

@@ -10,17 +10,9 @@ from citenoise import (
     CitingPaperStats,
     NoiseReport,
     analyze,
-    author_error_rate,
-    author_pattern_noise,
     build_system,
     builtin_fixture,
     citation_bias,
-    cited_paper_stats,
-    citing_paper_stats,
-    level_noise,
-    pattern_noise,
-    system_accuracy,
-    system_noise,
 )
 
 from systems import random_system
@@ -137,7 +129,7 @@ def grouped_random_system(rng, max_authors=50, max_cited=20):
 
 
 class TestGroupedKernelOracle:
-    """analyze and its single-statistic views against the loop oracles."""
+    """analyze and citation_bias against the loop oracles."""
 
     SEEDS = range(8)
 
@@ -151,50 +143,27 @@ class TestGroupedKernelOracle:
             s = grouped_random_system(np.random.default_rng(seed))
             expected = brute_force_report(s)
             pe_bar, sigma_ln, sigma_pn = brute_force_decomposition(s)
-            assert level_noise(s) == pytest.approx(sigma_ln, abs=1e-12)
-            assert pattern_noise(s) == pytest.approx(sigma_pn, abs=1e-12)
-            assert system_noise(s) == pytest.approx(expected.sigma_sys, abs=1e-12)
-            assert system_accuracy(s) == pytest.approx((1 - pe_bar, pe_bar), abs=1e-12)
+            r = analyze(s)
+            assert r.sigma_ln == pytest.approx(sigma_ln, abs=1e-12)
+            assert r.sigma_pn == pytest.approx(sigma_pn, abs=1e-12)
+            assert r.sigma_sys == pytest.approx(expected.sigma_sys, abs=1e-12)
+            assert (r.pa_mean, r.pe_mean) == pytest.approx((1 - pe_bar, pe_bar), abs=1e-12)
             bias = citation_bias(s)
             assert (bias.mean_tc, bias.mean_ec, bias.bias) == pytest.approx(
                 (expected.mean_tc, expected.mean_ec, expected.bias), abs=1e-12
             )
             assert bias.direction is expected.bias_direction
             for i in range(s.n_authors):
-                assert author_error_rate(s, i) == pytest.approx(
+                assert r.author_error_rates[i] == pytest.approx(
                     expected.author_error_rates[i], abs=1e-12
                 )
-                assert author_pattern_noise(s, i) == pytest.approx(
+                assert r.author_pattern_noise[i] == pytest.approx(
                     expected.author_pattern_noise[i], abs=1e-12
                 )
             for j in range(s.n_citing):
-                assert citing_paper_stats(s, j) == expected.citing_paper_stats[j]
+                assert r.citing_paper_stats[j] == expected.citing_paper_stats[j]
             for k in range(s.n_cited):
-                assert cited_paper_stats(s, k) == expected.cited_paper_stats[k]
-
-    def test_views_equal_report_fields(self, rng):
-        s = grouped_random_system(rng)
-        r = analyze(s)
-        assert (level_noise(s), pattern_noise(s), system_noise(s)) == (
-            r.sigma_ln,
-            r.sigma_pn,
-            r.sigma_sys,
-        )
-        assert system_accuracy(s) == (r.pa_mean, r.pe_mean)
-        assert tuple(citing_paper_stats(s, j) for j in range(s.n_citing)) == (
-            r.citing_paper_stats
-        )
-        assert tuple(cited_paper_stats(s, k) for k in range(s.n_cited)) == (
-            r.cited_paper_stats
-        )
-
-    def test_author_index_out_of_range(self, rng):
-        s = grouped_random_system(rng)
-        for i in (-1, s.n_authors):
-            with pytest.raises(IndexError):
-                author_pattern_noise(s, i)
-            with pytest.raises(IndexError):
-                author_error_rate(s, i)
+                assert r.cited_paper_stats[k] == expected.cited_paper_stats[k]
 
 
 class TestExactZeros:
@@ -209,9 +178,10 @@ class TestExactZeros:
             [[1, 0, 0]] * n_papers,
             [[0, 0, 0]] * n_papers,
         )
-        assert pattern_noise(s) == 0.0
-        assert author_pattern_noise(s, 0) == 0.0
-        assert analyze(s).sigma_sys == 0.0
+        r = analyze(s)
+        assert r.sigma_pn == 0.0
+        assert r.author_pattern_noise[0] == 0.0
+        assert r.sigma_sys == 0.0
 
     def test_level_noise_identical_authors(self):
         s = build_system(
@@ -221,66 +191,56 @@ class TestExactZeros:
             [[1, 0, 0]] * 22,
             [[0, 0, 0]] * 22,
         )
-        assert level_noise(s) == 0.0
-        assert analyze(s).sigma_sys == 0.0
+        r = analyze(s)
+        assert r.sigma_ln == 0.0
+        assert r.sigma_sys == 0.0
 
 
 class TestCitingPaperStats:
     def test_table1_paper1(self):
-        s = citing_paper_stats(builtin_fixture("table1"), 0)
+        s = analyze(builtin_fixture("table1")).citing_paper_stats[0]
         assert s.pr == pytest.approx(0.40)
         assert s.pa == pytest.approx(0.20)
         assert s.pe == pytest.approx(0.80)
 
     def test_table1_paper2(self):
-        s = citing_paper_stats(builtin_fixture("table1"), 1)
+        s = analyze(builtin_fixture("table1")).citing_paper_stats[1]
         assert s.pa == pytest.approx(0.80)
         assert s.pe == pytest.approx(0.20)
 
     def test_perfect_world(self):
-        s = perfect_system()
-        for j in range(s.n_citing):
-            assert citing_paper_stats(s, j).pa == 1.0
-            assert citing_paper_stats(s, j).pe == 0.0
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            citing_paper_stats(builtin_fixture("table1"), 10)
+        for st in analyze(perfect_system()).citing_paper_stats:
+            assert st.pa == 1.0
+            assert st.pe == 0.0
 
     def test_pa_pe_sum_to_one(self, rng):
         for _ in range(20):
-            s = random_system(rng)
-            for j in range(s.n_citing):
-                st = citing_paper_stats(s, j)
+            for st in analyze(random_system(rng)).citing_paper_stats:
                 assert abs(st.pa + st.pe - 1.0) < 1e-12
 
 
 class TestAuthorErrorRate:
     def test_table1_values(self):
-        s = builtin_fixture("table1")
-        assert author_error_rate(s, 0) == pytest.approx(0.5333, abs=5e-4)
-        assert author_error_rate(s, 1) == pytest.approx(0.50)
-        assert author_error_rate(s, 2) == pytest.approx(0.40)
+        rates = analyze(builtin_fixture("table1")).author_error_rates
+        assert rates[0] == pytest.approx(0.5333, abs=5e-4)
+        assert rates[1] == pytest.approx(0.50)
+        assert rates[2] == pytest.approx(0.40)
 
     def test_single_correct_paper(self):
         s = build_system(["x"], [("p", 0)], ["c"], [[1]], [[1]])
-        assert author_error_rate(s, 0) == 0.0
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            author_error_rate(builtin_fixture("table1"), 3)
+        assert analyze(s).author_error_rates[0] == 0.0
 
 
 class TestCitedPaperStats:
     def test_table1_cited_a(self):
-        s = cited_paper_stats(builtin_fixture("table1"), 0)
+        s = analyze(builtin_fixture("table1")).cited_paper_stats[0]
         assert s.pr == pytest.approx(0.6)
         assert (s.tc, s.ec) == (6, 10)
         assert s.pa == pytest.approx(0.60)
         assert s.pe == pytest.approx(0.40)
 
     def test_table1_cited_c(self):
-        s = cited_paper_stats(builtin_fixture("table1"), 2)
+        s = analyze(builtin_fixture("table1")).cited_paper_stats[2]
         assert (s.tc, s.ec) == (5, 2)
         assert s.pa == pytest.approx(0.70)
 
@@ -288,7 +248,7 @@ class TestCitedPaperStats:
         s = build_system(
             ["x"], [("p", 0), ("q", 0)], ["c"], [[0], [0]], [[0], [0]]
         )
-        st = cited_paper_stats(s, 0)
+        st = analyze(s).cited_paper_stats[0]
         assert (st.tc, st.ec) == (0, 0)
         assert st.pa == 1.0
 
@@ -296,8 +256,7 @@ class TestCitedPaperStats:
         # tc + incorrect-negatives - incorrect-positives = ec, per column
         for _ in range(20):
             s = random_system(rng)
-            for k in range(s.n_cited):
-                st = cited_paper_stats(s, k)
+            for k, st in enumerate(analyze(s).cited_paper_stats):
                 col_r, col_a = s.realized[:, k], s.accurate[:, k]
                 inc_neg = int(((col_r == 0) & (col_a == 1)).sum())
                 inc_pos = int(((col_r == 1) & (col_a == 0)).sum())
@@ -306,31 +265,34 @@ class TestCitedPaperStats:
 
 class TestSystemAggregates:
     def test_table1_accuracy(self):
-        pa, pe = system_accuracy(builtin_fixture("table1"))
+        r = analyze(builtin_fixture("table1"))
+        pa, pe = r.pa_mean, r.pe_mean
         assert pa == pytest.approx(0.54)
         assert pe == pytest.approx(0.46)
 
     def test_table3_error_rate(self):
-        _, pe = system_accuracy(builtin_fixture("table3"))
+        pe = analyze(builtin_fixture("table3")).pe_mean
         assert pe == pytest.approx(6 / 11)
 
     def test_perfect_world(self):
-        assert system_accuracy(perfect_system()) == (1.0, 0.0)
+        r = analyze(perfect_system())
+        assert (r.pa_mean, r.pe_mean) == (1.0, 0.0)
 
     def test_paperwise_equals_cellwise(self, rng):
         for _ in range(20):
             s = random_system(rng)
-            pa, _ = system_accuracy(s)
+            pa = analyze(s).pa_mean
             cellwise = float((s.realized == s.accurate).mean())
             assert pa == pytest.approx(cellwise, abs=1e-12)
 
 
 class TestLevelNoise:
     def test_table1(self):
-        assert level_noise(builtin_fixture("table1")) == pytest.approx(0.0611, abs=5e-4)
+        r = analyze(builtin_fixture("table1"))
+        assert r.sigma_ln == pytest.approx(0.0611, abs=5e-4)
 
     def test_table3(self):
-        assert level_noise(builtin_fixture("table3")) == pytest.approx(
+        assert analyze(builtin_fixture("table3")).sigma_ln == pytest.approx(
             TABLE3_SIGMA_LN, abs=1e-12
         )
 
@@ -343,28 +305,28 @@ class TestLevelNoise:
             [r for r, _ in rows],
             [a for _, a in rows],
         )
-        assert level_noise(s) == 0.0
+        assert analyze(s).sigma_ln == 0.0
 
     def test_single_author_is_zero(self, rng):
         for _ in range(10):
             s = random_system(rng, max_authors=1)
-            assert level_noise(s) == 0.0
+            assert analyze(s).sigma_ln == 0.0
 
 
 class TestPatternNoise:
     def test_table1_per_author(self):
-        s = builtin_fixture("table1")
-        assert author_pattern_noise(s, 0) == pytest.approx(0.2494, abs=5e-4)
-        assert author_pattern_noise(s, 1) == pytest.approx(0.10)
-        assert author_pattern_noise(s, 2) == pytest.approx(0.1265, abs=5e-4)
+        pn = analyze(builtin_fixture("table1")).author_pattern_noise
+        assert pn[0] == pytest.approx(0.2494, abs=5e-4)
+        assert pn[1] == pytest.approx(0.10)
+        assert pn[2] == pytest.approx(0.1265, abs=5e-4)
 
     def test_table1_overall(self):
-        assert pattern_noise(builtin_fixture("table1")) == pytest.approx(
+        assert analyze(builtin_fixture("table1")).sigma_pn == pytest.approx(
             0.1693, abs=5e-4
         )
 
     def test_table2_zero(self):
-        assert pattern_noise(builtin_fixture("table2")) == 0.0
+        assert analyze(builtin_fixture("table2")).sigma_pn == 0.0
 
     def test_equal_rates_give_zero(self):
         s = build_system(
@@ -374,11 +336,11 @@ class TestPatternNoise:
             [[1, 0], [0, 1]],
             [[0, 0], [1, 1]],
         )
-        assert author_pattern_noise(s, 0) == 0.0
+        assert analyze(s).author_pattern_noise[0] == 0.0
 
     def test_single_paper_author_is_zero(self):
         s = build_system(["x"], [("p", 0)], ["c", "d"], [[1, 0]], [[0, 0]])
-        assert author_pattern_noise(s, 0) == 0.0
+        assert analyze(s).author_pattern_noise[0] == 0.0
 
     def test_matches_direct_formula(self, rng):
         # two authors with two papers each, recomputed from raw pe values
@@ -392,35 +354,35 @@ class TestPatternNoise:
             a,
         )
         _, _, expected = brute_force_decomposition(s)
-        assert pattern_noise(s) == pytest.approx(expected, abs=1e-12)
+        assert analyze(s).sigma_pn == pytest.approx(expected, abs=1e-12)
 
 
 class TestSystemNoise:
     def test_table1(self):
-        assert system_noise(builtin_fixture("table1")) == pytest.approx(0.18, abs=5e-3)
+        r = analyze(builtin_fixture("table1"))
+        assert r.sigma_sys == pytest.approx(0.18, abs=5e-3)
 
     def test_zero_components(self):
-        assert system_noise(perfect_system()) == 0.0
+        assert analyze(perfect_system()).sigma_sys == 0.0
 
     def test_table3_combination(self):
-        s = builtin_fixture("table3")
-        assert pattern_noise(s) == 0.0
-        assert system_noise(s) == pytest.approx(TABLE3_SIGMA_LN, abs=1e-12)
+        r = analyze(builtin_fixture("table3"))
+        assert r.sigma_pn == 0.0
+        assert r.sigma_sys == pytest.approx(TABLE3_SIGMA_LN, abs=1e-12)
 
     def test_pythagorean_identity(self, rng):
         for _ in range(50):
-            s = random_system(rng)
-            ln, pn = level_noise(s), pattern_noise(s)
-            assert system_noise(s) ** 2 == pytest.approx(ln**2 + pn**2, abs=1e-9)
+            r = analyze(random_system(rng))
+            ln, pn = r.sigma_ln, r.sigma_pn
+            assert r.sigma_sys**2 == pytest.approx(ln**2 + pn**2, abs=1e-9)
 
     def test_law_of_total_variance(self, rng):
         for _ in range(50):
             s = random_system(rng)
             pe_rows = np.abs(s.realized - s.accurate).mean(axis=1)
             total_var = float(((pe_rows - pe_rows.mean()) ** 2).mean())
-            assert total_var == pytest.approx(
-                level_noise(s) ** 2 + pattern_noise(s) ** 2, abs=1e-9
-            )
+            r = analyze(s)
+            assert total_var == pytest.approx(r.sigma_ln**2 + r.sigma_pn**2, abs=1e-9)
 
 
 class TestCitationBias:
@@ -505,12 +467,11 @@ class TestInvariances:
         for _ in range(20):
             s = random_system(rng)
             t = self._permuted(s, rng)
-            assert level_noise(t) == pytest.approx(level_noise(s), abs=1e-12)
-            assert pattern_noise(t) == pytest.approx(pattern_noise(s), abs=1e-12)
-            assert system_noise(t) == pytest.approx(system_noise(s), abs=1e-12)
-            assert system_accuracy(t)[0] == pytest.approx(
-                system_accuracy(s)[0], abs=1e-12
-            )
+            rs, rt = analyze(s), analyze(t)
+            assert rt.sigma_ln == pytest.approx(rs.sigma_ln, abs=1e-12)
+            assert rt.sigma_pn == pytest.approx(rs.sigma_pn, abs=1e-12)
+            assert rt.sigma_sys == pytest.approx(rs.sigma_sys, abs=1e-12)
+            assert rt.pa_mean == pytest.approx(rs.pa_mean, abs=1e-12)
             assert citation_bias(t).bias == pytest.approx(
                 citation_bias(s).bias, abs=1e-12
             )

@@ -58,6 +58,15 @@ class TestBuildSystem:
         with pytest.raises(UnknownAuthor):
             build_system(["a"], [("p", 3)], ["c"], [[0]], [[0]])
 
+    def test_author_index_must_be_an_integer(self):
+        two_authors = (["a", "b"], ["c"], [[0], [0]], [[0], [0]])
+        for bad in (1.5, "1", True, 1.0, np.float64(1.0), np.True_):
+            with pytest.raises(UnknownAuthor, match="not an integer"):
+                build_system(two_authors[0], [("p", 0), ("q", bad)], *two_authors[1:])
+        s = build_system(two_authors[0], [("p", 0), ("q", np.int64(1))], *two_authors[1:])
+        assert s.citing_papers == (("p", 0), ("q", 1))
+        assert type(s.citing_papers[1][1]) is int
+
     def test_author_without_papers(self):
         with pytest.raises(UnknownAuthor):
             build_system(["a", "b"], [("p", 0)], ["c"], [[0]], [[0]])
@@ -86,12 +95,18 @@ class TestBuildSystem:
 class TestErrorMatrix:
     def test_table1_first_row(self):
         e = error_matrix(builtin_fixture("table1"))
-        assert e.entries[0].tolist() == [1, 0, 1, 1, 1]
+        assert e[0].tolist() == [1, 0, 1, 1, 1]
+
+    def test_read_only_int8_array(self):
+        e = error_matrix(builtin_fixture("table1"))
+        assert (type(e), e.dtype, e.shape) == (np.ndarray, np.int8, (10, 5))
+        with pytest.raises(ValueError):
+            e[0, 0] = 0
 
     def test_all_zero_when_perfect(self):
         a = [[1, 0], [0, 1]]
         s = build_system(["x"], [("p", 0), ("q", 0)], ["c", "d"], a, a)
-        assert not error_matrix(s).entries.any()
+        assert not error_matrix(s).any()
 
     def test_matches_xor_oracle(self, rng):
         r = rng.integers(0, 2, (4, 3))
@@ -99,7 +114,7 @@ class TestErrorMatrix:
         s = build_system(
             ["x"], [(f"p{j}", 0) for j in range(4)], ["c0", "c1", "c2"], r, a
         )
-        e = error_matrix(s).entries
+        e = error_matrix(s)
         for j in range(4):
             for k in range(3):
                 assert e[j, k] == (r[j, k] ^ a[j, k])
@@ -108,7 +123,7 @@ class TestErrorMatrix:
         for _ in range(20):
             s = random_system(rng)
             e = error_matrix(s)
-            assert (not e.entries.any()) == np.array_equal(s.realized, s.accurate)
+            assert (not e.any()) == np.array_equal(s.realized, s.accurate)
 
 
 class TestClassifyDecision:
@@ -134,7 +149,7 @@ class TestClassifyDecision:
     def test_error_matrix_agrees_with_classification(self, rng):
         for _ in range(10):
             s = random_system(rng)
-            e = error_matrix(s).entries
+            e = error_matrix(s)
             for j in range(s.n_citing):
                 for k in range(s.n_cited):
                     cls = classify_decision(

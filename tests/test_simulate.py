@@ -137,21 +137,21 @@ class TestReplicateDecisions:
             cfg(n_authors=2, papers_per_author=3, n_cited=4, base_error=0.0, replicates=5)
         )
         for r in reps.realized:
-            assert np.array_equal(r, reps.accurate)
+            assert np.array_equal(r, reps.latent.accurate)
 
     def test_pi_one_replicates_complement(self):
         reps = replicate_decisions(
             cfg(n_authors=2, papers_per_author=3, n_cited=4, base_error=1.0, replicates=5)
         )
         for r in reps.realized:
-            assert np.array_equal(r, 1 - reps.accurate)
+            assert np.array_equal(r, 1 - reps.latent.accurate)
 
     def test_flip_frequency_matches_bernoulli(self):
         t = 200
         reps = replicate_decisions(
             cfg(n_authors=4, papers_per_author=3, n_cited=5, base_error=0.5, replicates=t)
         )
-        flips = np.stack([(r != reps.accurate) for r in reps.realized]).mean(axis=0)
+        flips = np.stack([(r != reps.latent.accurate) for r in reps.realized]).mean(axis=0)
         bound = 3 * math.sqrt(0.25 / t)
         assert np.abs(flips - 0.5).max() < bound
 
@@ -173,8 +173,6 @@ class TestDecomposePatternNoise:
         reps = replicate_decisions(cfg(base_error=0.2, replicates=2))
         single = type(reps)(
             realized=reps.realized[:1],
-            accurate=reps.accurate,
-            author_of_paper=reps.author_of_paper,
             latent=reps.latent,
         )
         with pytest.raises(InsufficientReplicates):
@@ -212,10 +210,10 @@ class TestDecomposePatternNoise:
                 interaction_spread=0.15, replicates=50, seed=3)
         )
         stable, occasion = decompose_pattern_noise(reps)
-        errors = np.stack([np.abs(r - reps.accurate) for r in reps.realized]).astype(float)
+        errors = np.stack([np.abs(r - reps.latent.accurate) for r in reps.realized]).astype(float)
         total = 0.0
-        for i in np.unique(reps.author_of_paper):
-            block = errors[:, reps.author_of_paper == i, :]
+        for i in np.unique(reps.latent.author_of_paper):
+            block = errors[:, reps.latent.author_of_paper == i, :]
             total += block[0].size * ((block - block.mean()) ** 2).mean()
         total /= errors.shape[1] * errors.shape[2]
         assert stable**2 + occasion**2 == pytest.approx(total, abs=1e-9)
@@ -223,11 +221,11 @@ class TestDecomposePatternNoise:
 
 def stacked_decomposition(reps):
     """The (T, J, K) float64 stack formula that the count form replaced."""
-    errors = np.stack([np.abs(r - reps.accurate) for r in reps.realized]).astype(float)
+    errors = np.stack([np.abs(r - reps.latent.accurate) for r in reps.realized]).astype(float)
     occasion_var = float(errors.var(axis=0, ddof=1).mean())
     total = 0.0
-    for i in np.unique(reps.author_of_paper):
-        block = errors[:, reps.author_of_paper == i, :]
+    for i in np.unique(reps.latent.author_of_paper):
+        block = errors[:, reps.latent.author_of_paper == i, :]
         total += block[0].size * float(((block - block.mean()) ** 2).mean())
     total_var = total / (errors.shape[1] * errors.shape[2])
     return math.sqrt(max(0.0, total_var - occasion_var)), math.sqrt(occasion_var)
@@ -235,7 +233,7 @@ def stacked_decomposition(reps):
 
 def shuffled_rows(reps, rng):
     """The same replicate set with its citing papers in a random order."""
-    perm = rng.permutation(len(reps.author_of_paper))
+    perm = rng.permutation(len(reps.latent.author_of_paper))
     latent = dataclasses.replace(
         reps.latent,
         flip_probs=reps.latent.flip_probs[perm],
@@ -244,8 +242,6 @@ def shuffled_rows(reps, rng):
     )
     return type(reps)(
         realized=tuple(r[perm] for r in reps.realized),
-        accurate=reps.accurate[perm],
-        author_of_paper=reps.author_of_paper[perm],
         latent=latent,
     )
 
