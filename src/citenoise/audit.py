@@ -18,10 +18,10 @@ from .errors import (
     EmptyKey,
     EmptyReason,
     MalformedRow,
-    NonBinaryEntry,
     NonSymmetric,
     ParseError,
 )
+from .model import _as_binary_matrix
 
 SYMMETRY_TOL = 1e-9
 JT_HEADER = ("cited work", "section", "knowledge flowed")
@@ -32,10 +32,6 @@ class SimilarityMatrix:
     paper_ids: tuple
     timestamps: tuple
     scores: np.ndarray
-
-    def order_key(self, idx):
-        """Publication order: timestamp, ties broken by id."""
-        return (self.timestamps[idx], self.paper_ids[idx])
 
 
 def _is_real(x):
@@ -95,15 +91,14 @@ def omission_indicator(sim, citations, k):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    c = np.asarray(citations)
+    c = _as_binary_matrix(citations, "citations")
     n = len(sim.paper_ids)
     if c.shape != (n, n):
         raise DimensionMismatch(f"citations {c.shape} vs {n} papers")
-    if c.size and not np.isin(c, (0, 1)).all():
-        raise NonBinaryEntry("citation matrix entries must be 0 or 1")
 
     flags = {}
-    order = sorted(range(n), key=sim.order_key)
+    # Publication order: timestamp, ties broken by id.
+    order = sorted(range(n), key=lambda p: (sim.timestamps[p], sim.paper_ids[p]))
     ordered_ids = [sim.paper_ids[p] for p in order]
     # Timestamps are ranked in Python's own order: as floats, two ints
     # above 2**53 could tie.

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 validation/parse errors, 2 usage errors. All
 randomized subcommands take their seed from the config file or an explicit
 --seed flag; there is no implicit entropy, so identical invocations
-produce byte-identical output.
+produce byte-identical output. Every file is read, and every output
+document built and written, by :mod:`citenoise.io`.
 """
 
 import argparse
@@ -11,7 +12,7 @@ import dataclasses
 import sys
 
 from . import io as cio
-from .audit import audit_justification, omission_indicator, parse_justification_table
+from .audit import audit_justification, omission_indicator
 from .errors import CitenoiseError, ParseError
 from .fixtures import builtin_fixture, fixture_names
 from .metrics import analyze
@@ -46,14 +47,6 @@ def _load_config(path, seed_override):
     return GenerativeConfig(**raw)
 
 
-def _emit(text, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _load_system_arg(paths):
     if len(paths) == 1:
         return cio.load_system(paths[0])
@@ -66,32 +59,22 @@ def _cmd_analyze(args):
     system = _load_system_arg(args.input)
     report = analyze(system)
     if args.format == "json":
-        _emit(cio.dump_json(cio.report_to_document(report, system)), args.out)
-    else:
-        _emit(cio.report_to_table(report, system), args.out)
-    return 0
+        return cio.dump_json(cio.report_to_document(report, system))
+    return cio.report_to_table(report, system)
 
 
 def _cmd_simulate(args):
     config = _load_config(args.config, args.seed)
     system, latent = generate_system(config)
-    _emit(cio.dump_json(cio.system_to_document(system)), args.out)
     if args.latent:
-        _emit(cio.dump_json(cio.latent_to_document(latent)), args.latent)
-    return 0
+        cio.write_text(cio.dump_json(cio.latent_to_document(latent)), args.latent)
+    return cio.dump_json(cio.system_to_document(system))
 
 
 def _cmd_retest(args):
     config = _load_config(args.config, args.seed)
     stable, occasion = decompose_pattern_noise(replicate_decisions(config))
-    doc = {
-        "schema_version": cio.SCHEMA_VERSION,
-        "replicates": config.replicates,
-        "stable_sigma": stable,
-        "occasion_sigma": occasion,
-    }
-    _emit(cio.dump_json(doc), args.out)
-    return 0
+    return cio.dump_json(cio.retest_to_document(config.replicates, stable, occasion))
 
 
 def _cmd_aggregate(args):
@@ -100,55 +83,22 @@ def _cmd_aggregate(args):
         ns = [int(n) for n in args.ns.split(",") if n]
     except ValueError:
         raise UsageError(f"--ns must be a comma-separated integer list: {args.ns!r}")
-    rows = aggregation_curve(config, ns, args.trials)
-    lines = ["n,empirical_se,theoretical_se"]
-    for n, emp, theo in rows:
-        lines.append(f"{n},{emp:.6f},{theo:.6f}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
-
-
-def _read_keys(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return [line.strip() for line in fh if line.strip()]
+    return cio.aggregation_to_csv(aggregation_curve(config, ns, args.trials))
 
 
 def _cmd_audit(args):
-    refs = _read_keys(args.refs)
-    intext = _read_keys(args.intext)
-    with open(args.jt, "r", encoding="utf-8") as fh:
-        jt = parse_justification_table(fh.read())
-    report = audit_justification(refs, intext, jt)
-    doc = {
-        "schema_version": cio.SCHEMA_VERSION,
-        "unjustified_citations": list(report.unjustified_citations),
-        "orphan_justifications": list(report.orphan_justifications),
-        "duplicate_entries": [list(p) for p in report.duplicate_entries],
-        "coverage_ratio": report.coverage_ratio,
-    }
-    _emit(cio.dump_json(doc), args.out)
-    return 0
+    report = audit_justification(*cio.load_audit_inputs(args.refs, args.intext, args.jt))
+    return cio.dump_json(cio.audit_to_document(report))
 
 
 def _cmd_omissions(args):
     sim, cites = cio.load_omission_inputs(args.sim, args.citations)
     flags = omission_indicator(sim, cites, args.k)
-    doc = {
-        "schema_version": cio.SCHEMA_VERSION,
-        "k": args.k,
-        "flags": [
-            {"citing": citing, "earlier": earlier, "flag": v}
-            for (citing, earlier), v in sorted(flags.flags.items())
-        ],
-    }
-    _emit(cio.dump_json(doc), args.out)
-    return 0
+    return cio.dump_json(cio.omissions_to_document(flags, args.k))
 
 
 def _cmd_fixtures(args):
-    system = builtin_fixture(args.name)
-    _emit(cio.dump_json(cio.system_to_document(system)), args.out)
-    return 0
+    return cio.dump_json(cio.system_to_document(builtin_fixture(args.name)))
 
 
 def _build_parser():
@@ -214,7 +164,8 @@ def run_cli(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
-        return args.func(args)
+        cio.write_text(args.func(args), args.out)
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

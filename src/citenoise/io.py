@@ -1,24 +1,26 @@
 """Serialization of systems, reports and the other documents.
 
-Every JSON input is decoded by :func:`read_json`. Two on-disk system
-representations are supported: a JSON document (schema_version "1") and a
-pair of CSV matrices. The CSV layout is one header row
-``citing_paper,author,<cited ids...>`` followed by one row per citing paper
-with its id, author id, and one cell per cited paper; a cell is exactly
-``0`` or ``1``, with no spaces. The realized and accurate files must agree on
-all ids, and each loaded matrix takes J·K bytes (int8).
+Every input file is read and every output written here: JSON inputs are
+decoded by :func:`read_json`, and text goes out through :func:`write_text`.
+Two on-disk system representations are supported: a JSON document
+(schema_version "1") and a pair of CSV matrices. The CSV layout is one
+header row ``citing_paper,author,<cited ids...>`` followed by one row per
+citing paper with its id, author id, and one cell per cited paper; a cell is
+exactly ``0`` or ``1``, with no spaces. The realized and accurate files must
+agree on all ids, and each loaded matrix takes J·K bytes (int8).
 """
 
 import csv
 import dataclasses
 import io as _io
 import json
+import sys
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
-from .audit import build_similarity
-from .errors import ParseError, SchemaVersionUnsupported
+from .audit import build_similarity, parse_justification_table
+from .errors import CitenoiseError, ParseError, SchemaVersionUnsupported
 from .model import build_system
 
 SCHEMA_VERSION = "1"
@@ -54,8 +56,18 @@ def _strings(value, what):
     raise TypeError(f"{what} must be a list of strings")
 
 
+def _binary_cells(rows, field):
+    """A matrix field of JSON integers, as int8 unless a cell is beyond int8."""
+    _check_matrix(rows, field, "integer")
+    try:
+        return np.array(rows, dtype=np.int8)
+    except OverflowError:  # a cell beyond int8: build_system names it
+        return rows
+
+
 def system_from_document(doc):
-    """The system of a schema "1" document; every id must be a JSON string."""
+    """The system of a schema "1" document; every id must be a JSON string and
+    every ``realized``/``accurate`` cell a JSON integer."""
     if not isinstance(doc, dict):
         raise ParseError("system document must be a JSON object")
     version = doc.get("schema_version")
@@ -75,9 +87,11 @@ def system_from_document(doc):
                 raise ParseError(f"citing paper {pid!r} names unknown author {owner!r}")
             citing.append((pid, author_index[owner]))
         cited_ids = _strings(doc["cited_paper_ids"], "'cited_paper_ids'")
-        return build_system(author_ids, citing, cited_ids, doc["realized"], doc["accurate"])
-    except (KeyError, TypeError) as exc:
+        realized = _binary_cells(doc["realized"], "realized")
+        accurate = _binary_cells(doc["accurate"], "accurate")
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed system document: {exc}") from exc
+    return build_system(author_ids, citing, cited_ids, realized, accurate)
 
 
 def dump_json(doc):
@@ -85,9 +99,17 @@ def dump_json(doc):
     return json.dumps(doc, indent=2) + "\n"
 
 
+def write_text(text, path):
+    """Write ``text`` to the file ``path`` (LF endings), or to stdout if no path."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def save_system(system, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dump_json(system_to_document(system)))
+    write_text(dump_json(system_to_document(system)), path)
 
 
 def read_json(path):
@@ -100,7 +122,12 @@ def read_json(path):
 
 
 def load_system(path):
-    return system_from_document(read_json(path))
+    """The system in the JSON document at ``path``; errors name the file."""
+    doc = read_json(path)
+    try:
+        return system_from_document(doc)
+    except CitenoiseError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def latent_to_document(latent):
@@ -109,6 +136,22 @@ def latent_to_document(latent):
     for field in dataclasses.fields(latent):
         doc[field.name] = getattr(latent, field.name).tolist()
     return doc
+
+
+def retest_to_document(replicates, stable_sigma, occasion_sigma):
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "replicates": replicates,
+        "stable_sigma": stable_sigma,
+        "occasion_sigma": occasion_sigma,
+    }
+
+
+def aggregation_to_csv(rows):
+    """CSV text of (n, empirical SE, theoretical SE) rows, six decimals."""
+    return "n,empirical_se,theoretical_se\n" + "".join(
+        f"{n},{emp:.6f},{theo:.6f}\n" for n, emp, theo in rows
+    )
 
 
 # The Python types json gives each kind of JSON value; bool is neither.
@@ -157,6 +200,41 @@ def load_omission_inputs(sim_path, cites_path):
         return sim, cite_doc["cites"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{cites_path}: malformed citation document: {exc}") from exc
+
+
+def omissions_to_document(flags, k):
+    """Every ordered pair's flag, sorted by (citing id, earlier id)."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "k": k,
+        "flags": [
+            {"citing": citing, "earlier": earlier, "flag": v}
+            for (citing, earlier), v in sorted(flags.flags.items())
+        ],
+    }
+
+
+def _read_keys(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return [line.strip() for line in fh if line.strip()]
+
+
+def load_audit_inputs(refs_path, intext_path, jt_path):
+    """(reference keys, in-text keys, JustificationTable), read in that order."""
+    refs = _read_keys(refs_path)
+    intext = _read_keys(intext_path)
+    with open(jt_path, "r", encoding="utf-8") as fh:
+        return refs, intext, parse_justification_table(fh.read())
+
+
+def audit_to_document(report):
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "unjustified_citations": list(report.unjustified_citations),
+        "orphan_justifications": list(report.orphan_justifications),
+        "duplicate_entries": [list(p) for p in report.duplicate_entries],
+        "coverage_ratio": report.coverage_ratio,
+    }
 
 
 # -- CSV matrix pairs ---------------------------------------------------------

@@ -77,15 +77,6 @@ class CitationSystem:
     def n_cited(self):
         return len(self.cited_paper_ids)
 
-    def author_of(self, j):
-        return self.citing_papers[j][1]
-
-    def papers_of_author(self, i):
-        """Row indices of the citing papers authored by author i."""
-        if not 0 <= i < self.n_authors:
-            raise IndexError(f"author index {i} out of range")
-        return [j for j, (_, a) in enumerate(self.citing_papers) if a == i]
-
     def __eq__(self, other):
         if not isinstance(other, CitationSystem):
             return NotImplemented

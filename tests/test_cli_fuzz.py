@@ -3,14 +3,16 @@
 A result (0), a citenoise error (1) or a usage error (2) are the only allowed
 ends; no exception may escape ``run_cli`` and no traceback may reach stderr.
 Each example starts from valid documents (an omission similarity / citation
-pair, or a small system document), may give one id or timestamp a value of
-another type, and applies up to three more mutations, each one deleting or
-replacing one node of a JSON tree. That yields missing keys, wrong types,
-NaN or null values, mixed-type ids and timestamps, and ragged matrices,
-while unmutated documents still reach the analysis.
+pair, a small system document, a generator config, or the three audit
+files), may give one id or timestamp a value of another type, and applies up
+to three more mutations, each one deleting or replacing one node of a JSON
+tree. That yields missing keys, wrong types, NaN or null values, mixed-type
+ids and timestamps, and ragged matrices, while unmutated documents still
+reach the analysis.
 """
 
 import contextlib
+import copy
 import functools
 import io
 import json
@@ -73,7 +75,7 @@ def _position(path):
     return (path[0], *("*" if isinstance(key, int) else key for key in path[1:]))
 
 
-def mutate(draw, docs):
+def mutate(draw, docs, values=scalars | any_json):
     """Delete or replace up to three nodes of the JSON trees in ``docs``."""
     for _ in range(draw(st.integers(0, 3))):
         # Pick a schema position first, so that ids and timestamps are hit
@@ -87,17 +89,20 @@ def mutate(draw, docs):
         if len(path) > 1 and draw(st.booleans()):
             del parent[path[-1]]  # a missing key, or a ragged row
         else:
-            parent[path[-1]] = draw(st.one_of(scalars, any_json))
+            parent[path[-1]] = draw(values)
     return docs
 
 
 def run_on_documents(docs, argv):
-    """Exit code and stderr of ``run_cli`` with ``{i}`` in argv the i-th file."""
+    """Exit code and stderr of ``run_cli`` with ``{i}`` in argv the i-th file.
+
+    A ``str`` document is written as it is, any other as JSON."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         paths = [str(Path(tmp) / f"doc{i}.json") for i in range(len(docs))]
         for path, doc in zip(paths, docs):
-            Path(path).write_text(json.dumps(doc), encoding="utf-8")
+            text = doc if isinstance(doc, str) else json.dumps(doc)
+            Path(path).write_text(text, encoding="utf-8")
         argv = [arg.format(*paths) for arg in argv]
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = run_cli(argv)
@@ -176,3 +181,69 @@ def test_malformed_system_documents_end_in_an_exit_code(docs):
         code, err = run_on_documents(docs, ["analyze", "--input", "{0}", "--format", fmt])
         assert code in (0, 1, 2)
         assert "Traceback" not in err
+
+
+# Replacement values for configs and audit files. All are small, so that no
+# mutated dimension, replicate count or seed makes an example allocate more
+# than a few KB.
+small_values = st.sampled_from(
+    [None, True, False, 0, 1, 2, 3, -1, 0.5, 1.5, float("nan"), float("inf"),
+     "", "3", [], [0.1, 0.2]]
+)
+CONFIG = {
+    "seed": 1, "n_authors": 2, "papers_per_author": 2, "n_cited": 3,
+    "should_cite_prob": 0.5, "base_error": 0.2, "level_spread": 0.05,
+    "interaction_spread": 0.05, "bias_shift": [0.0, 0.05, -0.05], "replicates": 3,
+}
+CONFIG_COMMANDS = [
+    ["simulate", "--config", "{0}"],
+    ["retest", "--config", "{0}"],
+    ["aggregate", "--config", "{0}", "--ns", "1,5", "--trials", "100"],
+]
+
+
+@st.composite
+def configs(draw):
+    return mutate(draw, [copy.deepcopy(CONFIG)], small_values)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(docs=configs())
+def test_mutated_configs_end_in_an_exit_code(docs):
+    for argv in CONFIG_COMMANDS:
+        code, err = run_on_documents(docs, argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+
+
+fragments = st.sampled_from(
+    ["A", "b  c", " ", "", "#", "|", "x | y", "Section: S", "Section:", "Cited work",
+     "Section", "Knowledge flowed", "\u00e9", "x\r"]
+)
+
+
+def _lines(node):
+    """A key file or table: one line per item, a row's fields joined by '|'."""
+    if not isinstance(node, list):
+        return str(node)
+    return "\n".join(" | ".join(map(str, x)) if isinstance(x, list) else str(x)
+                     for x in node)
+
+
+@st.composite
+def audit_files(draw):
+    """Reference keys, in-text keys and a justification table, as text."""
+    keys = st.lists(fragments, max_size=4)
+    rows = st.lists(st.lists(fragments, min_size=1, max_size=4), max_size=5)
+    docs = [draw(keys), draw(keys), draw(rows)]
+    return [_lines(doc) for doc in mutate(draw, docs, fragments | small_values)]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(files=audit_files())
+def test_mutated_justification_tables_end_in_an_exit_code(files):
+    code, err = run_on_documents(
+        files, ["audit", "--refs", "{0}", "--intext", "{1}", "--jt", "{2}"]
+    )
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

@@ -13,6 +13,7 @@ import citenoise
 from citenoise import analyze, builtin_fixture
 from citenoise.cli import run_cli
 from citenoise.errors import (
+    DimensionMismatch,
     EmptySystem,
     NonBinaryEntry,
     ParseError,
@@ -502,13 +503,62 @@ class TestSystemDocumentTypes:
         err = capsys.readouterr().err
         assert code == 1
         assert "Traceback" not in err
-        assert "error: malformed system document" in err
+        assert f"error: {p}: malformed system document" in err
 
     def test_valid_document_analyzes(self, tmp_path, capsys):
         p = tmp_path / "sys.json"
         p.write_text(json.dumps(two_author_document()))
         for fmt in ("json", "table"):
             assert run_cli(["analyze", "--input", str(p), "--format", fmt]) == 0
+
+
+class TestSystemDocumentMatrices:
+    """Matrix cells are the JSON integers 0 and 1; load errors name the file
+    and keep their type, and the CLI ends in exit 1, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "path, value, error, message",
+        [
+            (("realized", 1, 1), True, ParseError,
+             "malformed system document: 'realized' row 1 holds True, not a JSON integer"),
+            (("accurate", 1, 1), 1.0, ParseError,
+             "malformed system document: 'accurate' row 1 holds 1.0, not a JSON integer"),
+            (("realized", 0, 0), "1", ParseError,
+             "malformed system document: 'realized' row 0 holds '1', not a JSON integer"),
+            (("accurate", 1), [0], ParseError,
+             "malformed system document: 'accurate' is ragged: row 1 has 1 entries, "
+             "row 0 has 2"),
+            (("realized",), [1, 0], ParseError,
+             "malformed system document: 'realized' must be a list of lists"),
+            (("realized", 0, 0), 2, NonBinaryEntry, "realized[0][0] = 2 is not 0 or 1"),
+            (("realized", 0, 0), -1, NonBinaryEntry, "realized[0][0] = -1 is not 0 or 1"),
+            (("accurate", 0, 1), 300, NonBinaryEntry, "accurate[0][1] = 300 is not 0 or 1"),
+            (("realized", 1, 0), 10**30, NonBinaryEntry,
+             f"realized[1][0] = {10**30} is not 0 or 1"),
+            (("realized",), [], DimensionMismatch,
+             "realized must be a 2-D matrix, got ndim=1"),
+            (("realized",), [[]], DimensionMismatch, "realized (1, 0) vs accurate (2, 2)"),
+            (("schema_version",), "2", SchemaVersionUnsupported,
+             "schema_version '2' not supported"),
+        ],
+        ids=["true", "float", "string", "ragged", "flat", "two", "minus-one",
+             "beyond-int8", "beyond-int64", "empty", "empty-row", "schema-version"],
+    )
+    def test_bad_document_names_file_and_exits_1(self, tmp_path, capsys, path, value,
+                                                 error, message):
+        doc = two_author_document()
+        _set(doc, path, value)
+        p = tmp_path / "sys.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(error) as info:
+            cio.load_system(p)
+        assert type(info.value) is error
+        assert str(info.value) == f"{p}: {message}"
+        code = run_cli(["analyze", "--input", str(p), "--format", "table"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert f"error: {p}: {message}" in err
 
 
 def write_omission_docs(tmp_path, papers, scores, cite_ids=None):
@@ -600,6 +650,14 @@ class TestOmissionInputs:
         assert code == 1
         assert "Traceback" not in err
         assert f"{cites}: malformed citation document: 'cites' is ragged" in err
+
+    def test_non_binary_cite_names_cell(self, tmp_path, capsys):
+        sim, cites = write_omission_docs(tmp_path, ORDERED, SCORES)
+        cites.write_text(json.dumps({"papers": ["a", "b"], "cites": [[0, 0], [2, 0]]}))
+        code, err = self.run(capsys, sim, cites)
+        assert code == 1
+        assert "Traceback" not in err
+        assert "error: citations[1][0] = 2 is not 0 or 1" in err
 
     def test_string_timestamps_accepted(self, tmp_path, capsys):
         papers = [{"id": "b", "timestamp": "2021-03"}, {"id": "a", "timestamp": "2020-01"}]

@@ -37,7 +37,7 @@ def brute_force_decomposition(system):
     pe_bar = sum(pe_rows) / len(pe_rows)
     num_ln, num_pn, total_n = 0.0, 0.0, 0
     for i in range(system.n_authors):
-        rows = system.papers_of_author(i)
+        rows = [j for j, (_, a) in enumerate(system.citing_papers) if a == i]
         pe_i = sum(pe_rows[j] for j in rows) / len(rows)
         var_i = sum((pe_i - pe_rows[j]) ** 2 for j in rows) / len(rows)
         num_ln += len(rows) * (pe_bar - pe_i) ** 2
@@ -54,7 +54,7 @@ def brute_force_report(system):
     pe_rows = [sum(row) / n_k for row in wrong]
     rates, pattern = [], []
     for i in range(system.n_authors):
-        rows = system.papers_of_author(i)
+        rows = [j for j, (_, a) in enumerate(system.citing_papers) if a == i]
         rate = sum(pe_rows[j] for j in rows) / len(rows)
         rates.append(rate)
         var = sum((rate - pe_rows[j]) ** 2 for j in rows) / len(rows)
@@ -450,10 +450,10 @@ class TestInvariances:
         order_authors = rng.permutation(system.n_authors)
         new_rows = []
         for i in order_authors:
-            new_rows.extend(system.papers_of_author(i))
+            new_rows.extend([j for j, (_, a) in enumerate(system.citing_papers) if a == i])
         realized = system.realized[np.ix_(new_rows, perm_k)]
         accurate = system.accurate[np.ix_(new_rows, perm_k)]
-        old_author = {j: system.author_of(j) for j in range(system.n_citing)}
+        old_author = {j: system.citing_papers[j][1] for j in range(system.n_citing)}
         remap = {int(i): pos for pos, i in enumerate(order_authors)}
         return build_system(
             [f"A{i}" for i in range(system.n_authors)],

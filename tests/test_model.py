@@ -36,7 +36,7 @@ class TestBuildSystem:
         assert s.n_citing == 10
         assert s.n_cited == 5
         assert s.n_authors == 3
-        assert [len(s.papers_of_author(i)) for i in range(3)] == [3, 2, 5]
+        assert [sum(a == i for _, a in s.citing_papers) for i in range(3)] == [3, 2, 5]
 
     def test_minimal_system(self):
         s = build_system(["a"], [("p", 0)], ["c"], [[0]], [[0]])
