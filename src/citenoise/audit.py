@@ -43,7 +43,7 @@ def build_similarity(paper_ids, timestamps, scores):
     numbers (not NaN) or all strings, so (timestamp, id) orders papers strictly."""
     paper_ids = tuple(paper_ids)
     timestamps = tuple(timestamps)
-    s = np.asarray(scores, dtype=float)
+    s = np.array(scores, dtype=float)  # a copy, made read-only below
     n = len(paper_ids)
     if not all(isinstance(p, str) for p in paper_ids):
         raise ParseError("paper ids must be strings")
@@ -63,7 +63,6 @@ def build_similarity(paper_ids, timestamps, scores):
     off_diag = s[~np.eye(n, dtype=bool)] if n else s
     if off_diag.size and (off_diag.min() < 0.0 or off_diag.max() > 1.0):
         raise DimensionMismatch("similarity scores must lie in [0, 1]")
-    s = s.copy()
     s.setflags(write=False)
     return SimilarityMatrix(paper_ids, timestamps, s)
 

@@ -33,18 +33,17 @@ class UsageError(Exception):
 
 def _load_config(path, seed_override):
     raw = cio.read_json(path)
-    if not isinstance(raw, dict):
-        raise ParseError(f"{path}: config must be a JSON object")
-    unknown = set(raw) - _CONFIG_FIELDS
-    if unknown:
-        raise ParseError(f"{path}: unknown config keys: {sorted(unknown)}")
-    if "bias_shift" in raw and isinstance(raw["bias_shift"], list):
-        raw["bias_shift"] = tuple(raw["bias_shift"])
-    if seed_override is not None:
-        raw["seed"] = seed_override
-    if "seed" not in raw:
-        raise UsageError("a seed is required (in the config file or via --seed)")
-    return GenerativeConfig(**raw)
+    with cio._naming(path):
+        if not isinstance(raw, dict):
+            raise ParseError("config must be a JSON object")
+        unknown = set(raw) - _CONFIG_FIELDS
+        if unknown:
+            raise ParseError(f"unknown config keys: {sorted(unknown)}")
+        if seed_override is not None:
+            raw["seed"] = seed_override
+        if "seed" not in raw:
+            raise UsageError("a seed is required (in the config file or via --seed)")
+        return GenerativeConfig(**raw)
 
 
 def _load_system_arg(paths):
@@ -107,51 +106,49 @@ def _build_parser():
         description="Citation accuracy, noise, and bias analysis toolkit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Flags shared by several subcommands, each declared once.
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[out])
+    seeded.add_argument("--config", required=True)
+    seeded.add_argument("--seed", type=int)
 
-    p = sub.add_parser("analyze", help="compute the noise report for a system")
+    p = sub.add_parser("analyze", parents=[out],
+                       help="compute the noise report for a system")
     p.add_argument("--input", nargs="+", required=True, metavar="FILE")
     p.add_argument("--format", choices=["json", "table"], default="json")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("simulate", help="generate a synthetic system")
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
+    p = sub.add_parser("simulate", parents=[seeded], help="generate a synthetic system")
     p.add_argument("--latent", help="write the latent-truth sidecar here")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("retest", help="stable/occasion test-retest decomposition")
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
+    p = sub.add_parser("retest", parents=[seeded],
+                       help="stable/occasion test-retest decomposition")
     p.set_defaults(func=_cmd_retest)
 
-    p = sub.add_parser("aggregate", help="SE-vs-n aggregation curve as CSV")
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int)
+    p = sub.add_parser("aggregate", parents=[seeded],
+                       help="SE-vs-n aggregation curve as CSV")
     p.add_argument("--ns", required=True, help="comma-separated sample sizes")
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_aggregate)
 
-    p = sub.add_parser("audit", help="cross-check a citation justification table")
+    p = sub.add_parser("audit", parents=[out],
+                       help="cross-check a citation justification table")
     p.add_argument("--refs", required=True)
     p.add_argument("--intext", required=True)
     p.add_argument("--jt", required=True)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_audit)
 
-    p = sub.add_parser("omissions", help="omission flags over a similarity matrix")
+    p = sub.add_parser("omissions", parents=[out],
+                       help="omission flags over a similarity matrix")
     p.add_argument("--sim", required=True)
     p.add_argument("--citations", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_omissions)
 
-    p = sub.add_parser("fixtures", help="dump a built-in example system")
+    p = sub.add_parser("fixtures", parents=[out], help="dump a built-in example system")
     p.add_argument("--name", required=True, choices=fixture_names())
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_fixtures)
 
     return parser

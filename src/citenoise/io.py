@@ -2,14 +2,18 @@
 
 Every input file is read and every output written here: JSON inputs are
 decoded by :func:`read_json`, and text goes out through :func:`write_text`.
-Two on-disk system representations are supported: a JSON document
-(schema_version "1") and a pair of CSV matrices. The CSV layout is one
-header row ``citing_paper,author,<cited ids...>`` followed by one row per
-citing paper with its id, author id, and one cell per cited paper; a cell is
-exactly ``0`` or ``1``, with no spaces. The realized and accurate files must
-agree on all ids, and each loaded matrix takes J·K bytes (int8).
+Errors found while an input is loaded name the file, except a UTF-8
+decoding error; a CitenoiseError raised by the checks in other modules gets
+the path from :func:`_naming`. Two on-disk system representations are
+supported: a JSON document (schema_version "1") and a pair of CSV matrices.
+The CSV layout is one header row ``citing_paper,author,<cited ids...>``
+followed by one row per citing paper with its id, author id, and one cell
+per cited paper; a cell is exactly ``0`` or ``1``, with no spaces. The
+realized and accurate files must agree on all ids, and each loaded matrix
+takes J·K bytes (int8).
 """
 
+import contextlib
 import csv
 import dataclasses
 import io as _io
@@ -112,22 +116,32 @@ def save_system(system, path):
     write_text(dump_json(system_to_document(system)), path)
 
 
+@contextlib.contextmanager
+def _naming(path):
+    """Prefix ``path`` to the message of a CitenoiseError raised inside; the
+    same error object, with its type and attributes, propagates."""
+    try:
+        yield
+    except CitenoiseError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def read_json(path):
-    """Decode one JSON file; malformed JSON raises ParseError naming the file."""
+    """Decode one JSON file; malformed or too deeply nested JSON raises
+    ParseError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"{path}: {exc}") from exc
 
 
 def load_system(path):
     """The system in the JSON document at ``path``; errors name the file."""
     doc = read_json(path)
-    try:
+    with _naming(path):
         return system_from_document(doc)
-    except CitenoiseError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def latent_to_document(latent):
@@ -176,7 +190,8 @@ def _check_matrix(rows, field, kind):
 
 
 def load_omission_inputs(sim_path, cites_path):
-    """(SimilarityMatrix, citation rows) for the omission indicator.
+    """(SimilarityMatrix, citation matrix) for the omission indicator; the
+    citations are decoded by :func:`_binary_cells`, as a system's matrices are.
 
     Documents: ``{"papers": [{"id", "timestamp"}, ...], "scores": n x n}``
     and ``{"papers": [the same ids, in order], "cites": n x n}``. Scores are
@@ -184,22 +199,24 @@ def load_omission_inputs(sim_path, cites_path):
     ``true``/``false`` and ``0.0`` are rejected.
     """
     sim_doc = read_json(sim_path)
-    try:
-        papers = sim_doc["papers"]
-        ids = [p["id"] for p in papers]
-        _check_matrix(sim_doc["scores"], "scores", "number")
-        sim = build_similarity(ids, [p["timestamp"] for p in papers], sim_doc["scores"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        # OverflowError: a JSON integer beyond float range
-        raise ParseError(f"{sim_path}: malformed similarity document: {exc}") from exc
+    with _naming(sim_path):
+        try:
+            papers = sim_doc["papers"]
+            ids = [p["id"] for p in papers]
+            _check_matrix(sim_doc["scores"], "scores", "number")
+            stamps = [p["timestamp"] for p in papers]
+            sim = build_similarity(ids, stamps, sim_doc["scores"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            # OverflowError: a JSON integer beyond float range
+            raise ParseError(f"malformed similarity document: {exc}") from exc
     cite_doc = read_json(cites_path)
-    try:
-        if list(cite_doc["papers"]) != ids:
-            raise ParseError("citation document paper ids disagree with similarity")
-        _check_matrix(cite_doc["cites"], "cites", "integer")
-        return sim, cite_doc["cites"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{cites_path}: malformed citation document: {exc}") from exc
+    with _naming(cites_path):
+        try:
+            if list(cite_doc["papers"]) != ids:
+                raise ParseError("citation document paper ids disagree with similarity")
+            return sim, _binary_cells(cite_doc["cites"], "cites")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"malformed citation document: {exc}") from exc
 
 
 def omissions_to_document(flags, k):
@@ -223,7 +240,7 @@ def load_audit_inputs(refs_path, intext_path, jt_path):
     """(reference keys, in-text keys, JustificationTable), read in that order."""
     refs = _read_keys(refs_path)
     intext = _read_keys(intext_path)
-    with open(jt_path, "r", encoding="utf-8") as fh:
+    with open(jt_path, "r", encoding="utf-8") as fh, _naming(jt_path):
         return refs, intext, parse_justification_table(fh.read())
 
 
@@ -243,6 +260,16 @@ def audit_to_document(report):
 _BINARY_CELLS = frozenset(("0", "1"))
 
 
+def _csv_rows(fh, path):
+    """The rows of a CSV file; a csv.Error, such as a field over
+    csv.field_size_limit(), raises ParseError naming the file and line."""
+    rows = csv.reader(fh)
+    try:
+        yield from rows
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{rows.line_num}: {exc}") from exc
+
+
 def _read_matrix_csv(path):
     """(cited ids, [(citing id, author id)], J x K int8 matrix) of one CSV file.
 
@@ -250,7 +277,7 @@ def _read_matrix_csv(path):
     a cell is exactly "0" or "1", so the joined rows are one byte per cell.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = csv.reader(fh)
+        rows = _csv_rows(fh, path)
         header = next(rows, [])
         if len(header) < 3:
             raise ParseError(f"{path}: expected header 'citing_paper,author,<cited ids>'")
@@ -276,16 +303,19 @@ def _read_matrix_csv(path):
 
 
 def load_system_csv(realized_path, accurate_path):
+    """The system of a realized/accurate CSV pair; errors name the file, or
+    both files when the pair is at fault."""
     cited_r, citing_r, matrix_r = _read_matrix_csv(realized_path)
     cited_a, citing_a, matrix_a = _read_matrix_csv(accurate_path)
-    if cited_r != cited_a or citing_r != citing_a:
-        raise ParseError("realized and accurate CSV files disagree on ids")
-    author_index = {}  # author id -> index, in order of first appearance
-    citing = [
-        (pid, author_index.setdefault(author, len(author_index)))
-        for pid, author in citing_r
-    ]
-    return build_system(list(author_index), citing, cited_r, matrix_r, matrix_a)
+    with _naming(f"{realized_path}, {accurate_path}"):
+        if cited_r != cited_a or citing_r != citing_a:
+            raise ParseError("realized and accurate CSV files disagree on ids")
+        author_index = {}  # author id -> index, in order of first appearance
+        citing = [
+            (pid, author_index.setdefault(author, len(author_index)))
+            for pid, author in citing_r
+        ]
+        return build_system(list(author_index), citing, cited_r, matrix_r, matrix_a)
 
 
 def _write_matrix_csv(system, matrix, path):
@@ -361,9 +391,15 @@ def report_to_document(report, system):
 def report_to_table(report, system):
     """Aligned plain-text rendering of the printed (two-decimal) values."""
     out = _io.StringIO()
+    # Value -> text: a table holds few distinct values. analyze gives no -0.0,
+    # which would share 0.0's key.
+    printed = {}
 
     def fmt(x):
-        return f"{_round_printed(x):.2f}"
+        text = printed.get(x)
+        if text is None:
+            text = printed[x] = f"{_round_printed(x):.2f}"
+        return text
 
     out.write(f"{'citing paper':<16}{'author':<10}{'PR':>6}{'PA':>6}{'PE':>6}\n")
     for (pid, ai), s in zip(system.citing_papers, report.citing_paper_stats):

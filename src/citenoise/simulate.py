@@ -49,6 +49,8 @@ def _check_finite(name, value):
 
 @dataclass(frozen=True)
 class GenerativeConfig:
+    """Generator parameters, checked by :meth:`validate` when built."""
+
     seed: int
     n_authors: int = 1
     papers_per_author: int = 1
@@ -59,6 +61,11 @@ class GenerativeConfig:
     interaction_spread: float = 0.0
     bias_shift: tuple = 0.0  # scalar or per-cited-paper sequence
     replicates: int = 1
+
+    def __post_init__(self):
+        if isinstance(self.bias_shift, list):  # e.g. from a JSON config
+            object.__setattr__(self, "bias_shift", tuple(self.bias_shift))
+        self.validate()
 
     def validate(self):
         for name in _INT_FIELDS:
@@ -186,7 +193,6 @@ def _sample_realized(latent, rng):
 
 def generate_system(config):
     """Sample one (system, latent truth) pair; deterministic in the seed."""
-    config.validate()
     rng_a, rng_l, flip_rngs = _streams(config, 1)
     latent = _sample_latent(config, rng_a, rng_l)
     realized = _sample_realized(latent, flip_rngs[0])
@@ -202,7 +208,6 @@ def generate_system(config):
 
 def replicate_decisions(config):
     """Sample T realized matrices over one shared latent truth."""
-    config.validate()
     if config.replicates < 2:
         raise InvalidConfig("occasion decomposition needs replicates >= 2")
     rng_a, rng_l, flip_rngs = _streams(config, config.replicates)
@@ -247,7 +252,6 @@ def aggregation_curve(config, sample_sizes, trials):
     Returns a list of (n, empirical_se, theoretical_se) rows; the citation
     probability p is the config's should_cite_prob.
     """
-    config.validate()
     if trials < 100:
         raise InvalidConfig("need at least 100 trials")
     if any(n < 1 for n in sample_sizes):
@@ -275,7 +279,6 @@ def expected_bias(config):
 
 def bias_recovery(config, trials):
     """Average measured bias over generated systems vs the analytic value."""
-    config.validate()
     if trials < 100:
         raise InvalidConfig("need at least 100 trials")
     children = np.random.SeedSequence(config.seed).spawn(trials)

@@ -89,8 +89,24 @@ def mutate(draw, docs, values=scalars | any_json):
         if len(path) > 1 and draw(st.booleans()):
             del parent[path[-1]]  # a missing key, or a ragged row
         else:
-            parent[path[-1]] = draw(values)
+            # A copy: a later mutation may edit inside the drawn value, which
+            # must not change the strategy's own list for later examples.
+            parent[path[-1]] = copy.deepcopy(draw(values))
     return docs
+
+
+def test_mutate_leaves_drawn_values_unchanged():
+    pool_list = [0.1, 0.2]
+    # mutate's draws in order: the number of mutations, then for each one a
+    # schema position's paths, one of them, delete-or-replace and the value.
+    script = iter([
+        2,
+        [(0, "a")], (0, "a"), False, pool_list,  # docs[0]["a"] = pool_list
+        [(0, "a", 0), (0, "a", 1)], (0, "a", 0), True,  # del docs[0]["a"][0]
+    ])
+    docs = mutate(lambda strategy: next(script), [{"a": 0}])
+    assert docs == [{"a": [0.2]}]
+    assert pool_list == [0.1, 0.2]
 
 
 def run_on_documents(docs, argv):

@@ -15,6 +15,7 @@ from citenoise.cli import run_cli
 from citenoise.errors import (
     DimensionMismatch,
     EmptySystem,
+    MalformedRow,
     NonBinaryEntry,
     ParseError,
     SchemaVersionUnsupported,
@@ -680,7 +681,7 @@ class TestOmissionInputs:
         assert sim.paper_ids == ("a", "b")
         assert sim.timestamps == (0, 1)
         assert sim.scores[0, 1] == 0.5
-        assert cites == [[0, 0], [0, 0]]
+        assert cites.tolist() == [[0, 0], [0, 0]]
 
 
 def test_latent_sidecar_is_latent_to_document(tmp_path):
@@ -695,3 +696,101 @@ def test_latent_sidecar_is_latent_to_document(tmp_path):
     assert latent_path.read_text() == cio.dump_json(doc)
     assert list(doc) == ["schema_version", "author_offsets", "interaction_offsets",
                          "bias_offsets", "flip_probs", "author_of_paper", "accurate"]
+
+
+def run_with_error(argv, capsys):
+    code = run_cli([str(arg) for arg in argv])
+    return code, capsys.readouterr().err
+
+
+class TestDecodeLimits:
+    """Inputs beyond the JSON or CSV decoder's limits end in exit 1 naming the file."""
+
+    DEEP = "[" * 100_000 + "]" * 100_000
+
+    @pytest.mark.parametrize("role", ["system", "config", "sim", "cites"])
+    def test_deeply_nested_json(self, tmp_path, capsys, role):
+        sim, cites = write_omission_docs(tmp_path, ORDERED, SCORES)
+        deep = tmp_path / f"{role}-deep.json"
+        deep.write_text(self.DEEP)
+        argv = {
+            "system": ["analyze", "--input", deep],
+            "config": ["simulate", "--config", deep],
+            "sim": ["omissions", "--sim", deep, "--citations", cites, "--k", "1"],
+            "cites": ["omissions", "--sim", sim, "--citations", deep, "--k", "1"],
+        }[role]
+        code, err = run_with_error(argv, capsys)
+        assert code == 1
+        assert "Traceback" not in err
+        assert f"error: {deep}: maximum recursion depth exceeded" in err
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("citing_paper,author," + "c" * 131_073 + "\n", 1),
+         ("citing_paper,author,c\n" + "p" * 131_073 + ",a,1\n", 2)],
+        ids=["header", "body"],
+    )
+    def test_csv_field_beyond_limit(self, tmp_path, capsys, text, line):
+        rp, ap = tmp_path / "R.csv", tmp_path / "A.csv"
+        rp.write_text(text)
+        ap.write_text("citing_paper,author,c\np,a,1\n")
+        code, err = run_with_error(["analyze", "--input", rp, ap], capsys)
+        assert code == 1
+        assert "Traceback" not in err
+        assert f"error: {rp}:{line}: field larger than field limit" in err
+
+
+class TestErrorsNameTheirFile:
+    """An error in an input file's contents names the file (or CSV pair) at fault."""
+
+    def test_justification_table_row(self, tmp_path, capsys):
+        refs, intext, jt = (tmp_path / n for n in ("refs.txt", "intext.txt", "jt.txt"))
+        refs.write_text("A\n")
+        intext.write_text("A\n")
+        jt.write_text("A | S | x | y\n")
+        code, err = run_with_error(
+            ["audit", "--refs", refs, "--intext", intext, "--jt", jt], capsys
+        )
+        assert code == 1
+        assert f"error: {jt}: line 1: expected 2 or 3 fields, got 4" in err
+        with pytest.raises(MalformedRow) as info:
+            cio.load_audit_inputs(refs, intext, jt)
+        assert info.value.line_number == 1
+
+    @pytest.mark.parametrize(
+        "realized, accurate, message",
+        [("citing_paper,author,c\np,a,1\np,a,0\n",
+          "citing_paper,author,c\np,a,1\np,a,0\n",
+          "duplicate citing-paper id: 'p'"),
+         ("citing_paper,author,c\np,a,1\n", "citing_paper,author,d\np,a,1\n",
+          "realized and accurate CSV files disagree on ids")],
+        ids=["duplicate-id", "ids-disagree"],
+    )
+    def test_csv_pair(self, tmp_path, capsys, realized, accurate, message):
+        rp, ap = tmp_path / "R.csv", tmp_path / "A.csv"
+        rp.write_text(realized)
+        ap.write_text(accurate)
+        code, err = run_with_error(["analyze", "--input", rp, ap], capsys)
+        assert code == 1
+        assert f"error: {rp}, {ap}: {message}" in err
+
+    @pytest.mark.parametrize(
+        "scores, cite_ids, at_fault, message",
+        [([[0, 0.5], [0.4, 0]], None, 0, "similarity matrix is not symmetric"),
+         (SCORES, ["b", "a"], 1, "citation document paper ids disagree with similarity")],
+        ids=["not-symmetric", "ids-disagree"],
+    )
+    def test_omission_documents(self, tmp_path, capsys, scores, cite_ids, at_fault,
+                                message):
+        sim, cites = write_omission_docs(tmp_path, ORDERED, scores, cite_ids)
+        code, err = run_with_error(
+            ["omissions", "--sim", sim, "--citations", cites, "--k", "1"], capsys
+        )
+        assert code == 1
+        assert f"error: {(sim, cites)[at_fault]}: {message}" in err
+
+    def test_invalid_config(self, tmp_path, capsys):
+        config = write_config(tmp_path, seed=1, base_error=2.0)
+        code, err = run_with_error(["simulate", "--config", config], capsys)
+        assert code == 1
+        assert f"error: {config}: base_error must be in [0, 1]" in err

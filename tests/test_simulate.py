@@ -61,6 +61,18 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig, match=field):
             cfg(**{**base, field: value}).validate()
 
+    @pytest.mark.parametrize(
+        "kw",
+        [{"n_cited": 2, "bias_shift": [0.1]}, {"base_error": 2.0}],
+        ids=["short-bias-list", "base-error-above-1"],
+    )
+    def test_invalid_config_cannot_be_built(self, kw):
+        with pytest.raises(InvalidConfig):
+            GenerativeConfig(seed=1, **kw)
+
+    def test_bias_list_is_stored_as_tuple(self):
+        assert cfg(n_cited=2, bias_shift=[0.1, 0.2]).bias_shift == (0.1, 0.2)
+
     def test_accepts_ints_for_floats_and_numpy_scalars(self):
         config = cfg(n_authors=np.int64(2), base_error=0, level_spread=np.float64(0.1))
         config.validate()
