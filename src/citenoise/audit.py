@@ -9,7 +9,7 @@ table, a per-citation ledger in a pipe-delimited text format.
 import numbers
 import warnings
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -71,12 +71,13 @@ def build_similarity(paper_ids, timestamps, scores):
 class OmissionFlags:
     """flag[(citing_id, earlier_id)] = 1 iff the earlier paper is in the
     citing paper's most-similar set but was not cited. Defined for every
-    ordered pair where the second paper precedes the first."""
+    ordered pair where the second paper precedes the first, in the order
+    (citing id, earlier id)."""
 
     flags: dict
 
     def flagged_pairs(self):
-        return sorted(pair for pair, v in self.flags.items() if v == 1)
+        return [pair for pair, v in self.flags.items() if v == 1]
 
 
 def omission_indicator(sim, citations, k):
@@ -96,20 +97,23 @@ def omission_indicator(sim, citations, k):
         raise DimensionMismatch(f"citations {c.shape} vs {n} papers")
 
     flags = {}
-    # Publication order: timestamp, ties broken by id.
-    order = sorted(range(n), key=lambda p: (sim.timestamps[p], sim.paper_ids[p]))
-    ordered_ids = [sim.paper_ids[p] for p in order]
+    by_id = np.array(sorted(range(n), key=sim.paper_ids.__getitem__), dtype=np.int64)
+    ids = sorted(sim.paper_ids)
+    # Publication order: timestamp, ties broken by id (the sort is stable).
+    position = np.empty(n, dtype=np.int64)
+    position[sorted(by_id, key=sim.timestamps.__getitem__)] = np.arange(n)
     # Timestamps are ranked in Python's own order: as floats, two ints
     # above 2**53 could tie.
     stamp_rank = {t: r for r, t in enumerate(sorted(set(sim.timestamps)))}
     rank = np.array([stamp_rank[t] for t in sim.timestamps], dtype=np.int64)
-    order = np.array(order, dtype=np.int64)
-    for position in range(1, n):  # the first paper has no predecessors
-        j, earlier = order[position], order[:position]
-        if k > position:
+    position_by_id = position[by_id]
+    for j, citing in zip(by_id, ids):
+        precedes = position_by_id < position[j]
+        earlier = by_id[precedes]
+        if 0 < len(earlier) < k:  # the first paper has no predecessors
             warnings.warn(
-                f"k={k} exceeds {position} predecessors of "
-                f"{sim.paper_ids[j]!r}; using all of them",
+                f"k={k} exceeds {len(earlier)} predecessors of {citing!r}; "
+                "using all of them",
                 stacklevel=2,
             )
         # Most similar first; ties go to the earlier timestamp, then input order.
@@ -117,7 +121,7 @@ def omission_indicator(sim, citations, k):
         flag = np.zeros(n, dtype=np.int8)
         flag[top] = c[j, top] == 0
         flags.update(
-            zip(zip(repeat(ordered_ids[position]), ordered_ids[:position]),
+            zip(zip(repeat(citing), compress(ids, precedes.tolist())),
                 flag[earlier].tolist())
         )
     return OmissionFlags(flags)
@@ -162,9 +166,7 @@ def parse_justification_table(text):
         fields = _split_row(line)
         if not seen_first_row:
             seen_first_row = True
-            if tuple(f.casefold() for f in fields) == JT_HEADER or tuple(
-                f.casefold() for f in fields
-            ) == (JT_HEADER[0], JT_HEADER[2]):
+            if tuple(f.casefold() for f in fields) in (JT_HEADER, JT_HEADER[::2]):
                 continue
         if fields[0].startswith("Section:"):
             if any(f for f in fields[1:]):

@@ -32,8 +32,8 @@ class UsageError(Exception):
 
 
 def _load_config(path, seed_override):
-    raw = cio.read_json(path)
     with cio._naming(path):
+        raw = cio.read_json(path)
         if not isinstance(raw, dict):
             raise ParseError("config must be a JSON object")
         unknown = set(raw) - _CONFIG_FIELDS
@@ -92,7 +92,8 @@ def _cmd_audit(args):
 
 def _cmd_omissions(args):
     sim, cites = cio.load_omission_inputs(args.sim, args.citations)
-    flags = omission_indicator(sim, cites, args.k)
+    with cio._naming(args.citations):  # the indicator checks the citation matrix
+        flags = omission_indicator(sim, cites, args.k)
     return cio.dump_json(cio.omissions_to_document(flags, args.k))
 
 

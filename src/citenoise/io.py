@@ -2,9 +2,9 @@
 
 Every input file is read and every output written here: JSON inputs are
 decoded by :func:`read_json`, and text goes out through :func:`write_text`.
-Errors found while an input is loaded name the file, except a UTF-8
-decoding error; a CitenoiseError raised by the checks in other modules gets
-the path from :func:`_naming`. Two on-disk system representations are
+Errors found while an input is loaded name the file: each file is read and
+checked inside :func:`_naming`, which also names the file in an error
+raised by the checks in other modules. Two on-disk system representations are
 supported: a JSON document (schema_version "1") and a pair of CSV matrices.
 The CSV layout is one header row ``citing_paper,author,<cited ids...>``
 followed by one row per citing paper with its id, author id, and one cell
@@ -28,12 +28,12 @@ from .errors import CitenoiseError, ParseError, SchemaVersionUnsupported
 from .model import build_system
 
 SCHEMA_VERSION = "1"
+_PRINTED = Decimal("0.01")  # the tables print two decimals
 
 
-def _round_printed(value, places=2):
+def _round_printed(value):
     """Round half up to match the tables' printed two-decimal values."""
-    q = Decimal(1).scaleb(-places)
-    return float(Decimal(repr(value)).quantize(q, rounding=ROUND_HALF_UP))
+    return float(Decimal(repr(value)).quantize(_PRINTED, rounding=ROUND_HALF_UP))
 
 
 # -- JSON documents ----------------------------------------------------------
@@ -71,30 +71,28 @@ def _binary_cells(rows, field):
 
 def system_from_document(doc):
     """The system of a schema "1" document; every id must be a JSON string and
-    every ``realized``/``accurate`` cell a JSON integer."""
+    every ``realized``/``accurate`` cell a JSON integer. A missing or
+    wrong-typed field raises KeyError, TypeError or ValueError."""
     if not isinstance(doc, dict):
         raise ParseError("system document must be a JSON object")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaVersionUnsupported(f"schema_version {version!r} not supported")
-    try:
-        author_ids = _strings(doc["author_ids"], "'author_ids'")
-        entries = doc["citing_papers"]
-        if type(entries) is not list:
-            raise TypeError("'citing_papers' must be a list")
-        paper_ids = _strings([e["id"] for e in entries], "citing paper ids")
-        owners = _strings([e["author_id"] for e in entries], "citing paper author ids")
-        author_index = {a: i for i, a in enumerate(author_ids)}
-        citing = []
-        for pid, owner in zip(paper_ids, owners):
-            if owner not in author_index:
-                raise ParseError(f"citing paper {pid!r} names unknown author {owner!r}")
-            citing.append((pid, author_index[owner]))
-        cited_ids = _strings(doc["cited_paper_ids"], "'cited_paper_ids'")
-        realized = _binary_cells(doc["realized"], "realized")
-        accurate = _binary_cells(doc["accurate"], "accurate")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed system document: {exc}") from exc
+    author_ids = _strings(doc["author_ids"], "'author_ids'")
+    entries = doc["citing_papers"]
+    if type(entries) is not list:
+        raise TypeError("'citing_papers' must be a list")
+    paper_ids = _strings([e["id"] for e in entries], "citing paper ids")
+    owners = _strings([e["author_id"] for e in entries], "citing paper author ids")
+    author_index = {a: i for i, a in enumerate(author_ids)}
+    citing = []
+    for pid, owner in zip(paper_ids, owners):
+        if owner not in author_index:
+            raise ParseError(f"citing paper {pid!r} names unknown author {owner!r}")
+        citing.append((pid, author_index[owner]))
+    cited_ids = _strings(doc["cited_paper_ids"], "'cited_paper_ids'")
+    realized = _binary_cells(doc["realized"], "realized")
+    accurate = _binary_cells(doc["accurate"], "accurate")
     return build_system(author_ids, citing, cited_ids, realized, accurate)
 
 
@@ -117,31 +115,36 @@ def save_system(system, path):
 
 
 @contextlib.contextmanager
-def _naming(path):
-    """Prefix ``path`` to the message of a CitenoiseError raised inside; the
-    same error object, with its type and attributes, propagates."""
+def _naming(path, document=None):
+    """Name ``path`` in an input error raised inside. A CitenoiseError gets the
+    path prefixed and propagates as the same object; a decoding error (not
+    UTF-8, not JSON, nested too deeply) raises ParseError, and so, when the
+    kind of ``document`` is given, does a KeyError, TypeError, ValueError or
+    OverflowError: "<path>: malformed <document>: ..."."""
+    malformed = (KeyError, TypeError, ValueError, OverflowError) if document else ()
     try:
         yield
     except CitenoiseError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
+    # Before ``malformed``: UnicodeDecodeError and JSONDecodeError are ValueErrors.
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    except malformed as exc:
+        raise ParseError(f"{path}: malformed {document}: {exc}") from exc
 
 
 def read_json(path):
-    """Decode one JSON file; malformed or too deeply nested JSON raises
-    ParseError naming the file."""
+    """Decode one JSON file; read it inside :func:`_naming`, which names the
+    file in a decoding error."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ParseError(f"{path}: {exc}") from exc
+        return json.load(fh)
 
 
 def load_system(path):
     """The system in the JSON document at ``path``; errors name the file."""
-    doc = read_json(path)
-    with _naming(path):
-        return system_from_document(doc)
+    with _naming(path, "system document"):
+        return system_from_document(read_json(path))
 
 
 def latent_to_document(latent):
@@ -198,41 +201,34 @@ def load_omission_inputs(sim_path, cites_path):
     JSON numbers and citation entries the JSON integers 0 and 1; strings,
     ``true``/``false`` and ``0.0`` are rejected.
     """
-    sim_doc = read_json(sim_path)
-    with _naming(sim_path):
-        try:
-            papers = sim_doc["papers"]
-            ids = [p["id"] for p in papers]
-            _check_matrix(sim_doc["scores"], "scores", "number")
-            stamps = [p["timestamp"] for p in papers]
-            sim = build_similarity(ids, stamps, sim_doc["scores"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            # OverflowError: a JSON integer beyond float range
-            raise ParseError(f"malformed similarity document: {exc}") from exc
-    cite_doc = read_json(cites_path)
-    with _naming(cites_path):
-        try:
-            if list(cite_doc["papers"]) != ids:
-                raise ParseError("citation document paper ids disagree with similarity")
-            return sim, _binary_cells(cite_doc["cites"], "cites")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed citation document: {exc}") from exc
+    with _naming(sim_path, "similarity document"):
+        sim_doc = read_json(sim_path)
+        papers = sim_doc["papers"]
+        ids = [p["id"] for p in papers]
+        _check_matrix(sim_doc["scores"], "scores", "number")
+        stamps = [p["timestamp"] for p in papers]
+        sim = build_similarity(ids, stamps, sim_doc["scores"])
+    with _naming(cites_path, "citation document"):
+        cite_doc = read_json(cites_path)
+        if list(cite_doc["papers"]) != ids:
+            raise ParseError("citation document paper ids disagree with similarity")
+        return sim, _binary_cells(cite_doc["cites"], "cites")
 
 
 def omissions_to_document(flags, k):
-    """Every ordered pair's flag, sorted by (citing id, earlier id)."""
+    """Every ordered pair's flag, in the order of ``flags``."""
     return {
         "schema_version": SCHEMA_VERSION,
         "k": k,
         "flags": [
             {"citing": citing, "earlier": earlier, "flag": v}
-            for (citing, earlier), v in sorted(flags.flags.items())
+            for (citing, earlier), v in flags.flags.items()
         ],
     }
 
 
 def _read_keys(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, _naming(path):
         return [line.strip() for line in fh if line.strip()]
 
 
@@ -262,12 +258,15 @@ _BINARY_CELLS = frozenset(("0", "1"))
 
 def _csv_rows(fh, path):
     """The rows of a CSV file; a csv.Error, such as a field over
-    csv.field_size_limit(), raises ParseError naming the file and line."""
+    csv.field_size_limit(), raises ParseError naming the file and line, and
+    text that is not UTF-8 one naming the file."""
     rows = csv.reader(fh)
     try:
         yield from rows
     except csv.Error as exc:
         raise ParseError(f"{path}:{rows.line_num}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # decoded in chunks: the line is not known
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _read_matrix_csv(path):
@@ -334,8 +333,22 @@ def save_system_csv(system, realized_path, accurate_path):
 # -- report documents ---------------------------------------------------------
 
 
+# The report's summary statistics, in output order: field -> table label.
+_SUMMARY = {
+    "pa_mean": "PA_mean",
+    "pe_mean": "PE_mean",
+    "sigma_ln": "sigma_LN",
+    "sigma_pn": "sigma_PN",
+    "sigma_sys": "sigma_SYS",
+    "mean_tc": "mean_TC",
+    "mean_ec": "mean_EC",
+    "bias": "bias",
+}
+
+
 def report_to_document(report, system):
     """Full-precision report plus two-decimal printed renderings."""
+    summary = {name: getattr(report, name) for name in _SUMMARY}
     return {
         "schema_version": SCHEMA_VERSION,
         "citing_papers": [
@@ -366,25 +379,9 @@ def report_to_document(report, system):
             {"id": cid, "pr": s.pr, "tc": s.tc, "ec": s.ec, "pa": s.pa, "pe": s.pe}
             for cid, s in zip(system.cited_paper_ids, report.cited_paper_stats)
         ],
-        "pa_mean": report.pa_mean,
-        "pe_mean": report.pe_mean,
-        "sigma_ln": report.sigma_ln,
-        "sigma_pn": report.sigma_pn,
-        "sigma_sys": report.sigma_sys,
-        "mean_tc": report.mean_tc,
-        "mean_ec": report.mean_ec,
-        "bias": report.bias,
+        **summary,
         "bias_direction": report.bias_direction.value,
-        "printed": {
-            "pa_mean": _round_printed(report.pa_mean),
-            "pe_mean": _round_printed(report.pe_mean),
-            "sigma_ln": _round_printed(report.sigma_ln),
-            "sigma_pn": _round_printed(report.sigma_pn),
-            "sigma_sys": _round_printed(report.sigma_sys),
-            "mean_tc": _round_printed(report.mean_tc),
-            "mean_ec": _round_printed(report.mean_ec),
-            "bias": _round_printed(report.bias),
-        },
+        "printed": {name: _round_printed(value) for name, value in summary.items()},
     }
 
 
@@ -417,15 +414,8 @@ def report_to_table(report, system):
         out.write(
             f"{cid:<14}{fmt(s.pr):>6}{s.tc:>5}{s.ec:>5}{fmt(s.pa):>6}{fmt(s.pe):>6}\n"
         )
-    out.write("\n")
-    out.write(f"PA_mean   {fmt(report.pa_mean)}\n")
-    out.write(f"PE_mean   {fmt(report.pe_mean)}\n")
-    out.write(f"sigma_LN  {fmt(report.sigma_ln)}\n")
-    out.write(f"sigma_PN  {fmt(report.sigma_pn)}\n")
-    out.write(f"sigma_SYS {fmt(report.sigma_sys)}\n")
-    out.write(f"mean_TC   {fmt(report.mean_tc)}\n")
-    out.write(f"mean_EC   {fmt(report.mean_ec)}\n")
-    out.write(
-        f"bias      {fmt(report.bias)} ({report.bias_direction.value})\n"
-    )
+    for name, label in _SUMMARY.items():
+        out.write(f"\n{label:<10}{fmt(getattr(report, name))}")
+    # The last summary row, bias, also shows its direction.
+    out.write(f" ({report.bias_direction.value})\n")
     return out.getvalue()

@@ -238,8 +238,7 @@ def decompose_pattern_noise(replicates):
         s += realized != latent.accurate
     spread = float((s * (t - s)).sum())
     occasion_var = spread / (t * (t - 1) * s.size)
-    labels, author = np.unique(latent.author_of_paper, return_inverse=True)
-    _, _, within = _grouped(s, author, len(labels))
+    _, _, within = _grouped(s, latent.author_of_paper, len(latent.author_offsets))
     total_var = (spread + within.sum()) / (t * t * s.size)
 
     stable_var = max(0.0, total_var - occasion_var)

@@ -132,6 +132,19 @@ class TestOmissionIndicator:
         )
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_pairs_run_in_id_order(self, rng):
+        """Pairs come in (citing id, earlier id) order, not publication order."""
+        reversed_stamps = build_similarity(
+            ["a", "b", "c"], [2, 1, 0], [[0, 0.5, 0.5], [0.5, 0, 0.5], [0.5, 0.5, 0]]
+        )
+        for sim in (reversed_stamps, random_similarity(rng, 12)):
+            n = len(sim.paper_ids)
+            flags = omission_indicator(sim, np.zeros((n, n), dtype=int), 2)
+            assert list(flags.flags) == sorted(flags.flags)
+            pairs = flags.flagged_pairs()
+            assert pairs and pairs == sorted(pairs)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_monotone_in_k(self, rng):
         sim = random_similarity(rng, 12)
         cites = rng.integers(0, 2, (12, 12))

@@ -658,7 +658,15 @@ class TestOmissionInputs:
         code, err = self.run(capsys, sim, cites)
         assert code == 1
         assert "Traceback" not in err
-        assert "error: citations[1][0] = 2 is not 0 or 1" in err
+        assert f"error: {cites}: citations[1][0] = 2 is not 0 or 1" in err
+
+    def test_non_square_cites_name_file(self, tmp_path, capsys):
+        sim, cites = write_omission_docs(tmp_path, ORDERED, SCORES)
+        cites.write_text(json.dumps({"papers": ["a", "b"], "cites": [[0, 0, 0], [0, 0, 0]]}))
+        code, err = self.run(capsys, sim, cites)
+        assert code == 1
+        assert "Traceback" not in err
+        assert f"error: {cites}: citations (2, 3) vs 2 papers" in err
 
     def test_string_timestamps_accepted(self, tmp_path, capsys):
         papers = [{"id": "b", "timestamp": "2021-03"}, {"id": "a", "timestamp": "2020-01"}]
@@ -794,3 +802,31 @@ class TestErrorsNameTheirFile:
         code, err = run_with_error(["simulate", "--config", config], capsys)
         assert code == 1
         assert f"error: {config}: base_error must be in [0, 1]" in err
+
+    @pytest.mark.parametrize(
+        "role",
+        ["system", "realized", "accurate", "config", "sim", "cites", "refs", "intext", "jt"],
+    )
+    def test_text_not_utf8(self, tmp_path, capsys, role):
+        paths = {name: tmp_path / name for name in ("system", "refs", "intext", "jt")}
+        cio.save_system(builtin_fixture("table1"), paths["system"])
+        for name in ("realized", "accurate"):
+            paths[name] = tmp_path / f"{name}.csv"
+            paths[name].write_text("citing_paper,author,c\np,a,1\n")
+        for name, text in [("refs", "A\n"), ("intext", "A\n"), ("jt", "A | S | x\n")]:
+            paths[name].write_text(text)
+        paths["sim"], paths["cites"] = write_omission_docs(tmp_path, ORDERED, SCORES)
+        paths["config"] = Path(write_config(tmp_path, seed=1))
+        commands = [
+            ["analyze", "--input", paths["system"]],
+            ["analyze", "--input", paths["realized"], paths["accurate"]],
+            ["simulate", "--config", paths["config"]],
+            ["omissions", "--sim", paths["sim"], "--citations", paths["cites"], "--k", "1"],
+            ["audit", "--refs", paths["refs"], "--intext", paths["intext"], "--jt", paths["jt"]],
+        ]
+        bad = paths[role]
+        bad.write_bytes(b"\xff" + bad.read_bytes())
+        code, err = run_with_error(next(c for c in commands if bad in c), capsys)
+        assert code == 1
+        assert "Traceback" not in err
+        assert f"error: {bad}: 'utf-8' codec can't decode" in err
