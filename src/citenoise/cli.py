@@ -81,6 +81,8 @@ def _cmd_aggregate(args):
     try:
         ns = [int(n) for n in args.ns.split(",") if n]
     except ValueError:
+        ns = []
+    if not ns:
         raise UsageError(f"--ns must be a comma-separated integer list: {args.ns!r}")
     return cio.aggregation_to_csv(aggregation_curve(config, ns, args.trials))
 

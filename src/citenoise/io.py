@@ -2,6 +2,8 @@
 
 Every input file is read and every output written here: JSON inputs are
 decoded by :func:`read_json`, and text goes out through :func:`write_text`.
+JSON outputs are rendered by :func:`dump_json`, whose text is exactly
+``json.dumps(doc, indent=2) + "\\n"`` for every JSON-able document.
 Errors found while an input is loaded name the file: each file is read and
 checked inside :func:`_naming`, which also names the file in an error
 raised by the checks in other modules. Two on-disk system representations are
@@ -20,6 +22,8 @@ import io as _io
 import json
 import sys
 from decimal import ROUND_HALF_UP, Decimal
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
@@ -97,8 +101,94 @@ def system_from_document(doc):
 
 
 def dump_json(doc):
-    """Deterministic JSON rendering: fixed key order, LF, trailing newline."""
-    return json.dumps(doc, indent=2) + "\n"
+    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte, for every JSON-able
+    document: fixed key order, LF, trailing newline.
+
+    ``json.dumps`` with an indent runs the pure-Python encoder, so each
+    top-level value of a dict document is rendered on its own: number
+    matrices and vectors and lists of flat records by templates, any other
+    value by ``json.dumps``.
+    """
+    if type(doc) is not dict or not doc or not all(type(key) is str for key in doc):
+        return json.dumps(doc, indent=2) + "\n"
+    items = ",\n  ".join(
+        f"{encode_basestring_ascii(key)}: {_render_value(value)}"
+        for key, value in doc.items()
+    )
+    return "{\n  " + items + "\n}\n"
+
+
+def _render_value(value):
+    """A top-level value of a document, rendered as ``json.dumps(indent=2)``
+    renders it one level deep."""
+    if type(value) is list and value:
+        kind = type(value[0])
+        if kind is list:
+            text = _number_matrix(value)
+        elif kind is dict:
+            text = _flat_records(value)
+        else:
+            text = _number_items(value, "    ")
+        if text is not None:
+            return "[\n    " + text + "\n  ]"
+    # Strings are escaped, so every newline here is structural.
+    return json.dumps(value, indent=2).replace("\n", "\n  ")
+
+
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _number_items(items, pad):
+    """The items of a non-empty list of exact ints and finite floats, one per
+    line at indent ``pad``; None for any other list."""
+    if not items or not _NUMBER_TYPES.issuperset(map(type, items)):
+        return None
+    text = (",\n" + pad).join(map(repr, items))
+    # Only a non-finite float's repr ("nan", "inf") holds an "n"; json spells
+    # those NaN and Infinity.
+    return None if "n" in text else text
+
+
+def _number_matrix(rows):
+    """The rows of a list of number lists (see :func:`_number_items`), one
+    item per line; None for any other list."""
+    texts = []
+    for row in rows:
+        text = _number_items(row, "      ") if type(row) is list else None
+        if text is None:
+            return None
+        texts.append("[\n      " + text + "\n    ]")
+    return ",\n    ".join(texts)
+
+
+def _flat_records(records):
+    """The records of a list of dicts with one key order, each field holding a
+    string in every record or an exact int in every record, rendered by one
+    template; None for any other list."""
+    keys = tuple(records[0])
+    if (
+        not keys
+        or not all(type(key) is str for key in keys)
+        or set(map(type, records)) != {dict}
+        or not all(map(keys.__eq__, map(tuple, records)))
+    ):
+        return None
+    columns = []
+    for key in keys:
+        column = list(map(itemgetter(key), records))
+        kinds = set(map(type, column))
+        if kinds == {str}:
+            encoded = {value: encode_basestring_ascii(value) for value in set(column)}
+            columns.append(map(encoded.__getitem__, column))
+        elif kinds == {int}:
+            columns.append(map(int.__repr__, column))
+        else:
+            return None
+    fields = ",\n      ".join(
+        encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys
+    )
+    template = "{\n      " + fields + "\n    }"
+    return ",\n    ".join(map(template.__mod__, zip(*columns)))
 
 
 def write_text(text, path):
@@ -128,10 +218,28 @@ def _naming(path, document=None):
         exc.args = (f"{path}: {exc}",)
         raise
     # Before ``malformed``: UnicodeDecodeError and JSONDecodeError are ValueErrors.
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {_whole_file_decode_error(path, exc)}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     except malformed as exc:
         raise ParseError(f"{path}: malformed {document}: {exc}") from exc
+
+
+def _whole_file_decode_error(path, exc):
+    """The UTF-8 decoding error of the whole file at ``path``, else ``exc``.
+
+    A text file read line by line, or through ``csv``, is decoded in chunks,
+    and ``exc`` gives the offset within its chunk; the bytes are decoded
+    again, on this error path only, for the offset within the file.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as whole:
+        return whole
+    return exc
 
 
 def read_json(path):
@@ -266,7 +374,7 @@ def _csv_rows(fh, path):
     except csv.Error as exc:
         raise ParseError(f"{path}:{rows.line_num}: {exc}") from exc
     except UnicodeDecodeError as exc:  # decoded in chunks: the line is not known
-        raise ParseError(f"{path}: {exc}") from exc
+        raise ParseError(f"{path}: {_whole_file_decode_error(path, exc)}") from exc
 
 
 def _read_matrix_csv(path):

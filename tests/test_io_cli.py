@@ -362,6 +362,15 @@ class TestCli:
         assert out.splitlines()[0] == "n,empirical_se,theoretical_se"
         assert "0.0500" in out.splitlines()[1].split(",")[2]
 
+    @pytest.mark.parametrize("ns", [",", "", "5,x"])
+    def test_aggregate_without_sample_sizes_is_usage_error(self, tmp_path, capsys, ns):
+        config = write_config(tmp_path, seed=3)
+        code = run_cli(["aggregate", "--config", config, "--ns", ns, "--trials", "200"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: --ns must be a comma-separated integer list: {ns!r}" in err
+
     def test_audit_command(self, tmp_path, capsys):
         (tmp_path / "refs.txt").write_text("A\nB\n")
         (tmp_path / "intext.txt").write_text("A\nB\nC\n")
@@ -830,3 +839,26 @@ class TestErrorsNameTheirFile:
         assert code == 1
         assert "Traceback" not in err
         assert f"error: {bad}: 'utf-8' codec can't decode" in err
+
+    @pytest.mark.parametrize("role", ["realized", "refs"])
+    def test_text_not_utf8_position_is_within_file(self, tmp_path, capsys, role):
+        """Text read line by line is decoded in chunks; the error's byte
+        position is still its offset in the file."""
+        rows = "".join(f"p{i:06d},a,1\n" for i in range(3000))
+        texts = {"realized": "citing_paper,author,c\n" + rows, "accurate": "",
+                 "refs": rows, "intext": "A\n", "jt": "A | S | x\n"}
+        paths = {name: tmp_path / name for name in texts}
+        for name, text in texts.items():
+            paths[name].write_text(text)
+        data = bytearray(paths[role].read_bytes())
+        data[20_000] = 0xFF
+        paths[role].write_bytes(data)
+        commands = {
+            "realized": ["analyze", "--input", paths["realized"], paths["accurate"]],
+            "refs": ["audit", "--refs", paths["refs"], "--intext", paths["intext"],
+                     "--jt", paths["jt"]],
+        }
+        code, err = run_with_error(commands[role], capsys)
+        assert code == 1
+        assert (f"error: {paths[role]}: 'utf-8' codec can't decode byte 0xff in "
+                "position 20000: invalid start byte") in err
