@@ -3,7 +3,6 @@
 from .audit import (
     AuditReport,
     JustificationEntry,
-    JustificationTable,
     OmissionFlags,
     SimilarityMatrix,
     audit_justification,
@@ -33,7 +32,6 @@ from .model import (
 from .simulate import (
     GenerativeConfig,
     LatentTruth,
-    ReplicateSet,
     aggregation_curve,
     bias_recovery,
     decompose_pattern_noise,

@@ -135,11 +135,6 @@ class JustificationEntry:
     line_number: int = field(compare=False)
 
 
-@dataclass(frozen=True)
-class JustificationTable:
-    entries: tuple
-
-
 def canonicalize_key(key):
     """Case-fold, trim, and collapse internal whitespace."""
     return " ".join(key.split()).casefold()
@@ -152,9 +147,10 @@ def _split_row(line):
 def parse_justification_table(text):
     """Parse the pipe-delimited justification-table format.
 
-    Rows are ``key | section | reason`` or ``key | reason`` (the section
-    then comes from the most recent ``Section: ...`` row). ``#`` lines are
-    comments; a leading header row is skipped.
+    Returns a tuple of :class:`JustificationEntry`, one per row in file
+    order. Rows are ``key | section | reason`` or ``key | reason`` (the
+    section then comes from the most recent ``Section: ...`` row). ``#``
+    lines are comments; a leading header row is skipped.
     """
     entries = []
     section = ""
@@ -188,13 +184,13 @@ def parse_justification_table(text):
         if not reason:
             raise EmptyReason(line_number)
         entries.append(JustificationEntry(key, row_section, reason, line_number))
-    return JustificationTable(tuple(entries))
+    return tuple(entries)
 
 
-def serialize_justification_table(jt):
+def serialize_justification_table(entries):
     """Emit the canonical three-column form with LF endings."""
     lines = ["Cited work | Section | Knowledge flowed"]
-    for e in jt.entries:
+    for e in entries:
         lines.append(f"{e.key} | {e.section} | {e.reason}")
     return "\n".join(lines) + "\n"
 
@@ -207,22 +203,22 @@ class AuditReport:
     coverage_ratio: float
 
 
-def audit_justification(reference_keys, in_text_keys, jt):
-    """Cross-check in-text citation keys against a justification table.
+def audit_justification(reference_keys, in_text_keys, entries):
+    """Cross-check in-text citation keys against justification entries.
 
     Keys are canonicalized before comparison; a key justified anywhere in
     the table counts as justified for all its in-text occurrences.
     """
     refs = {canonicalize_key(k) for k in reference_keys}
     intext = list(dict.fromkeys(canonicalize_key(k) for k in in_text_keys))
-    jt_keys = dict.fromkeys(canonicalize_key(e.key) for e in jt.entries)
+    jt_keys = dict.fromkeys(canonicalize_key(e.key) for e in entries)
 
     unjustified = tuple(k for k in intext if k not in jt_keys)
     orphans = tuple(k for k in jt_keys if k not in refs)
 
     seen_pairs = set()
     dupes = {}  # an insertion-ordered set: each repeated pair once
-    for e in jt.entries:
+    for e in entries:
         pair = (canonicalize_key(e.key), e.section)
         if pair in seen_pairs:
             dupes[pair] = None

@@ -72,7 +72,8 @@ def _cmd_simulate(args):
 
 def _cmd_retest(args):
     config = _load_config(args.config, args.seed)
-    stable, occasion = decompose_pattern_noise(replicate_decisions(config))
+    realized, latent = replicate_decisions(config)
+    stable, occasion = decompose_pattern_noise(realized, latent)
     return cio.dump_json(cio.retest_to_document(config.replicates, stable, occasion))
 
 
@@ -93,6 +94,8 @@ def _cmd_audit(args):
 
 
 def _cmd_omissions(args):
+    if args.k < 1:
+        raise UsageError(f"--k must be >= 1, got {args.k}")
     sim, cites = cio.load_omission_inputs(args.sim, args.citations)
     with cio._naming(args.citations):  # the indicator checks the citation matrix
         flags = omission_indicator(sim, cites, args.k)

@@ -341,7 +341,8 @@ def _read_keys(path):
 
 
 def load_audit_inputs(refs_path, intext_path, jt_path):
-    """(reference keys, in-text keys, JustificationTable), read in that order."""
+    """(reference keys, in-text keys, justification entries), read in that
+    order; the entries are the tuple that parse_justification_table returns."""
     refs = _read_keys(refs_path)
     intext = _read_keys(intext_path)
     with open(jt_path, "r", encoding="utf-8") as fh, _naming(jt_path):

@@ -20,6 +20,7 @@ never perturbs earlier replicates.
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,11 @@ from .model import build_system
 # Fraction of cells whose unclamped flip probability may leave [0, 1]
 # before the configuration is rejected as analytically unusable.
 MAX_CLAMPED_FRACTION = 0.01
+
+# The largest spread whose draw range [-spread, spread] has a finite width.
+_MAX_SPREAD = sys.float_info.max / 2
+# rng.binomial takes its n as a C int64.
+_MAX_SAMPLE_SIZE = np.iinfo(np.int64).max
 
 _INT_FIELDS = ("seed", "n_authors", "papers_per_author", "n_cited", "replicates")
 _REAL_FIELDS = ("should_cite_prob", "base_error", "level_spread", "interaction_spread")
@@ -49,7 +55,9 @@ def _check_finite(name, value):
 
 @dataclass(frozen=True)
 class GenerativeConfig:
-    """Generator parameters, checked by :meth:`validate` when built."""
+    """Generator parameters, checked when built: a wrong-typed, non-finite or
+    out-of-range field raises :class:`InvalidConfig`, so every config that
+    exists is valid."""
 
     seed: int
     n_authors: int = 1
@@ -65,9 +73,6 @@ class GenerativeConfig:
     def __post_init__(self):
         if isinstance(self.bias_shift, list):  # e.g. from a JSON config
             object.__setattr__(self, "bias_shift", tuple(self.bias_shift))
-        self.validate()
-
-    def validate(self):
         for name in _INT_FIELDS:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -87,6 +92,9 @@ class GenerativeConfig:
             raise InvalidConfig("base_error must be in [0, 1]")
         if self.level_spread < 0 or self.interaction_spread < 0:
             raise InvalidConfig("spreads must be nonnegative")
+        for name in ("level_spread", "interaction_spread"):
+            if float(getattr(self, name)) > _MAX_SPREAD:
+                raise InvalidConfig(f"{name} must be at most {_MAX_SPREAD!r}")
         if self.replicates < 1:
             raise InvalidConfig("replicates must be >= 1")
         if len(self.bias_offsets()) != self.n_cited:
@@ -132,15 +140,6 @@ class LatentTruth:
 
     def _grouped_flips(self):
         return _grouped(self.flip_probs, self.author_of_paper, len(self.author_offsets))
-
-
-@dataclass(frozen=True)
-class ReplicateSet:
-    """Repeated realized matrices over one latent truth, which holds the
-    shared accurate matrix and author labels."""
-
-    realized: tuple  # T matrices, each J x K
-    latent: LatentTruth
 
 
 def _sample_latent(config, rng_accurate, rng_latent):
@@ -207,17 +206,25 @@ def generate_system(config):
 
 
 def replicate_decisions(config):
-    """Sample T realized matrices over one shared latent truth."""
+    """Sample T realized matrices over one shared latent truth.
+
+    Returns ``(realized, latent)``: a tuple of T int8 J x K matrices and the
+    :class:`LatentTruth` they share, which holds the accurate matrix and the
+    author labels.
+    """
     if config.replicates < 2:
         raise InvalidConfig("occasion decomposition needs replicates >= 2")
     rng_a, rng_l, flip_rngs = _streams(config, config.replicates)
     latent = _sample_latent(config, rng_a, rng_l)
     realized = tuple(_sample_realized(latent, rng) for rng in flip_rngs)
-    return ReplicateSet(realized=realized, latent=latent)
+    return realized, latent
 
 
-def decompose_pattern_noise(replicates):
+def decompose_pattern_noise(realized, latent):
     """Split test-retest pattern variance into stable and occasion parts.
+
+    ``realized`` holds T matrices over the accurate matrix and author labels
+    of ``latent``, as :func:`replicate_decisions` returns them.
 
     Works at the decision-cell level: for each cell the error indicator is
     observed across T occasions. The occasion component is the mean
@@ -225,17 +232,16 @@ def decompose_pattern_noise(replicates):
     the total is the variance of all indicators around their author's
     pooled mean; the stable component is the nonnegative remainder.
     """
-    t = len(replicates.realized)
+    t = len(realized)
     if t < 2:
         raise InsufficientReplicates("need at least 2 occasions")
     # Errors are binary, so each cell's error count s over the T occasions is
     # sufficient: the squared deviations of its T indicators around their
     # mean sum to s (T - s) / T, and the kernel's within-author term on s is
     # T^2 times that of the cell means around their author's mean.
-    latent = replicates.latent
     s = np.zeros(latent.accurate.shape, dtype=np.int64)
-    for realized in replicates.realized:
-        s += realized != latent.accurate
+    for r in realized:
+        s += r != latent.accurate
     spread = float((s * (t - s)).sum())
     occasion_var = spread / (t * (t - 1) * s.size)
     _, _, within = _grouped(s, latent.author_of_paper, len(latent.author_offsets))
@@ -253,8 +259,8 @@ def aggregation_curve(config, sample_sizes, trials):
     """
     if trials < 100:
         raise InvalidConfig("need at least 100 trials")
-    if any(n < 1 for n in sample_sizes):
-        raise InvalidConfig("sample sizes must be >= 1")
+    if any(not 1 <= n <= _MAX_SAMPLE_SIZE for n in sample_sizes):
+        raise InvalidConfig(f"sample sizes must be in [1, {_MAX_SAMPLE_SIZE}]")
     p = config.should_cite_prob
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     rows = []

@@ -138,9 +138,9 @@ def test_criterion_7_test_retest_decomposition():
         should_cite_prob=0.5, base_error=0.3, interaction_spread=0.2,
         replicates=100,
     )
-    reps = replicate_decisions(config)
-    stable, _ = decompose_pattern_noise(reps)
-    truth = reps.latent.stable_pattern_std()
+    realized, latent = replicate_decisions(config)
+    stable, _ = decompose_pattern_noise(realized, latent)
+    truth = latent.stable_pattern_std()
     rel = abs(stable - truth) / truth
     assert rel < 0.15
 
@@ -148,7 +148,7 @@ def test_criterion_7_test_retest_decomposition():
         seed=78, n_authors=40, papers_per_author=5, n_cited=30,
         should_cite_prob=0.5, base_error=0.3, replicates=100,
     )
-    stable0, _ = decompose_pattern_noise(replicate_decisions(flat))
+    stable0, _ = decompose_pattern_noise(*replicate_decisions(flat))
     assert stable0 < 0.02
     ok(
         "criterion 7: test-retest decomposition",
@@ -178,11 +178,11 @@ def test_criterion_9_audit_set_algebra():
         refs = {k for k in universe if rng.random() < 0.6}
         intext = [k for k in universe if rng.random() < 0.5]
         justified = [k for k in universe if rng.random() < 0.4]
-        jt = parse_justification_table(
+        entries = parse_justification_table(
             "Cited work | Section | Knowledge flowed\n"
             + "".join(f"{k} | S | why\n" for k in justified)
         )
-        report = audit_justification(refs, intext, jt)
+        report = audit_justification(refs, intext, entries)
         c = canonicalize_key
         assert set(report.unjustified_citations) == {c(k) for k in intext} - {
             c(k) for k in justified
@@ -191,8 +191,8 @@ def test_criterion_9_audit_set_algebra():
             c(k) for k in refs
         }
         assert parse_justification_table(
-            serialize_justification_table(jt)
-        ).entries == jt.entries
+            serialize_justification_table(entries)
+        ) == entries
     ok("criterion 9: audit set algebra + JT round-trip")
 
 

@@ -170,17 +170,17 @@ Penders2018 | Citations are a form of scientific currency.
 
 class TestJustificationTable:
     def test_minimal_two_row_file(self):
-        jt = parse_justification_table(
+        entries = parse_justification_table(
             "Cited work | Section | Knowledge flowed\n"
             "SmithRef2014 | Methods | definition of knowledge flow\n"
         )
-        assert len(jt.entries) == 1
-        assert jt.entries[0].key == "SmithRef2014"
+        assert len(entries) == 1
+        assert entries[0].key == "SmithRef2014"
 
     def test_section_rows_attach_label(self):
-        jt = parse_justification_table(TABLE4_INTRO)
-        assert len(jt.entries) == 5
-        assert all(e.section == "Introduction" for e in jt.entries)
+        entries = parse_justification_table(TABLE4_INTRO)
+        assert len(entries) == 5
+        assert all(e.section == "Introduction" for e in entries)
 
     def test_malformed_row_reports_line(self):
         text = (
@@ -199,61 +199,61 @@ class TestJustificationTable:
             parse_justification_table("Cited work | Section | Knowledge flowed\nK | S |\n")
 
     def test_comments_and_crlf_accepted(self):
-        jt = parse_justification_table(
+        entries = parse_justification_table(
             "Cited work | Section | Knowledge flowed\r\n"
             "# a comment\r\n"
             "Key2001 | Intro | reason\r\n"
         )
-        assert len(jt.entries) == 1
-        assert jt.entries[0].section == "Intro"
+        assert len(entries) == 1
+        assert entries[0].section == "Intro"
 
     def test_round_trip(self):
-        jt = parse_justification_table(TABLE4_INTRO)
-        text = serialize_justification_table(jt)
+        entries = parse_justification_table(TABLE4_INTRO)
+        text = serialize_justification_table(entries)
         assert text.endswith("\n") and "\r" not in text
-        assert parse_justification_table(text).entries == jt.entries
+        assert parse_justification_table(text) == entries
 
 
 class TestAuditJustification:
     def test_fully_justified(self):
-        jt = parse_justification_table(
+        entries = parse_justification_table(
             "Cited work | Section | Knowledge flowed\nA | S | x\nB | S | y\n"
         )
-        report = audit_justification({"A", "B"}, ["A", "B", "A"], jt)
+        report = audit_justification({"A", "B"}, ["A", "B", "A"], entries)
         assert report.coverage_ratio == 1.0
         assert report.unjustified_citations == ()
         assert report.orphan_justifications == ()
 
     def test_orphan_justification(self):
-        jt = parse_justification_table(
+        entries = parse_justification_table(
             "Cited work | Section | Knowledge flowed\nGhost | S | x\n"
         )
-        report = audit_justification({"Real"}, [], jt)
+        report = audit_justification({"Real"}, [], entries)
         assert report.orphan_justifications == ("ghost",)
         assert report.coverage_ratio == 1.0  # no in-text keys
 
     def test_duplicate_entries(self):
-        jt = parse_justification_table(
+        entries = parse_justification_table(
             "Cited work | Section | Knowledge flowed\nA | S | x\nA | S | y\nA | T | z\n"
         )
-        report = audit_justification({"A"}, ["A"], jt)
+        report = audit_justification({"A"}, ["A"], entries)
         assert report.duplicate_entries == (("a", "S"),)
 
     def test_partial_coverage(self):
-        jt = parse_justification_table(
+        entries = parse_justification_table(
             "Cited work | Section | Knowledge flowed\n"
             + "".join(f"k{i} | S | r\n" for i in range(7))
         )
         intext = [f"k{i}" for i in range(10)]
-        report = audit_justification(set(intext), intext, jt)
+        report = audit_justification(set(intext), intext, entries)
         assert report.coverage_ratio == pytest.approx(0.7)
         assert set(report.unjustified_citations) == {"k7", "k8", "k9"}
 
     def test_canonicalization(self):
-        jt = parse_justification_table(
+        entries = parse_justification_table(
             "Cited work | Section | Knowledge flowed\n Smith   2014 | S | x\n"
         )
-        report = audit_justification({"SMITH 2014"}, ["smith 2014"], jt)
+        report = audit_justification({"SMITH 2014"}, ["smith 2014"], entries)
         assert report.coverage_ratio == 1.0
         assert report.orphan_justifications == ()
         assert canonicalize_key("  Smith \t 2014 ") == "smith 2014"
@@ -264,11 +264,11 @@ class TestAuditJustification:
             refs = {k for k in universe if rng.random() < 0.6}
             intext = [k for k in universe if rng.random() < 0.5]
             justified = [k for k in universe if rng.random() < 0.4]
-            jt = parse_justification_table(
+            entries = parse_justification_table(
                 "Cited work | Section | Knowledge flowed\n"
                 + "".join(f"{k} | S | reason\n" for k in justified)
             )
-            report = audit_justification(refs, intext, jt)
+            report = audit_justification(refs, intext, entries)
             c_in = {canonicalize_key(k) for k in intext}
             c_j = {canonicalize_key(k) for k in justified}
             c_r = {canonicalize_key(k) for k in refs}

@@ -203,7 +203,7 @@ def test_malformed_system_documents_end_in_an_exit_code(docs):
 # mutated dimension, replicate count or seed makes an example allocate more
 # than a few KB.
 small_values = st.sampled_from(
-    [None, True, False, 0, 1, 2, 3, -1, 0.5, 1.5, float("nan"), float("inf"),
+    [None, True, False, 0, 1, 2, 3, -1, 0.5, 1.5, 1e308, float("nan"), float("inf"),
      "", "3", [], [0.1, 0.2]]
 )
 CONFIG = {

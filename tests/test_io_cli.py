@@ -371,6 +371,18 @@ class TestCli:
         assert out == ""
         assert f"error: --ns must be a comma-separated integer list: {ns!r}" in err
 
+    def test_aggregate_sample_size_beyond_int64_exits_1(self, tmp_path, capsys):
+        config = write_config(tmp_path, seed=3)
+        largest = str(2**63 - 1)
+        assert run_cli(["aggregate", "--config", config, "--ns", largest, "--trials", "100"]) == 0
+        capsys.readouterr()
+        code = run_cli(["aggregate", "--config", config, "--ns", str(2**63), "--trials", "100"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert f"error: sample sizes must be in [1, {largest}]" in err
+
     def test_audit_command(self, tmp_path, capsys):
         (tmp_path / "refs.txt").write_text("A\nB\n")
         (tmp_path / "intext.txt").write_text("A\nB\nC\n")
@@ -401,6 +413,17 @@ class TestCli:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["flags"] == [{"citing": "new", "earlier": "old", "flag": 1}]
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_omissions_k_below_1_is_usage_error(self, tmp_path, capsys, k):
+        # The files do not exist: the value is rejected before any is read.
+        code = run_cli(["omissions", "--sim", str(tmp_path / "sim.json"),
+                        "--citations", str(tmp_path / "cites.json"), "--k", k])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert f"error: --k must be >= 1, got {k}" in err
 
     def test_fixtures_dump(self, tmp_path):
         out = tmp_path / "t2.json"

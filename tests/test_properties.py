@@ -98,5 +98,5 @@ def test_justification_table_round_trip(rows):
     text = "Cited work | Section | Knowledge flowed\n" + "".join(
         f"{k} | {s} | {r}\n" for k, s, r in rows
     )
-    jt = parse_justification_table(text)
-    assert parse_justification_table(serialize_justification_table(jt)).entries == jt.entries
+    entries = parse_justification_table(text)
+    assert parse_justification_table(serialize_justification_table(entries)) == entries

@@ -25,17 +25,17 @@ def cfg(**kw):
 class TestConfigValidation:
     def test_rejects_zero_sizes(self):
         with pytest.raises(InvalidConfig):
-            cfg(n_authors=0).validate()
+            cfg(n_authors=0)
 
     def test_rejects_bad_probabilities(self):
         with pytest.raises(InvalidConfig):
-            cfg(should_cite_prob=1.5).validate()
+            cfg(should_cite_prob=1.5)
         with pytest.raises(InvalidConfig):
-            cfg(base_error=-0.1).validate()
+            cfg(base_error=-0.1)
 
     def test_rejects_mismatched_bias_vector(self):
         with pytest.raises(InvalidConfig):
-            cfg(n_cited=3, bias_shift=(0.1, 0.2)).validate()
+            cfg(n_cited=3, bias_shift=(0.1, 0.2))
 
     @pytest.mark.parametrize(
         "field, value",
@@ -54,12 +54,14 @@ class TestConfigValidation:
             ("bias_shift", float("nan")),
             ("bias_shift", (0.1, float("-inf"))),
             ("bias_shift", ("x", 0.1)),
+            ("level_spread", 1e308),
+            ("interaction_spread", 1e308),
         ],
     )
     def test_rejects_wrong_types_and_non_finite(self, field, value):
         base = {"n_authors": 2, "papers_per_author": 2, "n_cited": 2}
         with pytest.raises(InvalidConfig, match=field):
-            cfg(**{**base, field: value}).validate()
+            cfg(**{**base, field: value})
 
     @pytest.mark.parametrize(
         "kw",
@@ -74,8 +76,7 @@ class TestConfigValidation:
         assert cfg(n_cited=2, bias_shift=[0.1, 0.2]).bias_shift == (0.1, 0.2)
 
     def test_accepts_ints_for_floats_and_numpy_scalars(self):
-        config = cfg(n_authors=np.int64(2), base_error=0, level_spread=np.float64(0.1))
-        config.validate()
+        cfg(n_authors=np.int64(2), base_error=0, level_spread=np.float64(0.1))
 
     def test_rejects_heavy_clamping(self):
         with pytest.raises(InvalidConfig):
@@ -145,25 +146,25 @@ class TestGenerateSystem:
 
 class TestReplicateDecisions:
     def test_pi_zero_replicates_equal_accurate(self):
-        reps = replicate_decisions(
+        realized, latent = replicate_decisions(
             cfg(n_authors=2, papers_per_author=3, n_cited=4, base_error=0.0, replicates=5)
         )
-        for r in reps.realized:
-            assert np.array_equal(r, reps.latent.accurate)
+        for r in realized:
+            assert np.array_equal(r, latent.accurate)
 
     def test_pi_one_replicates_complement(self):
-        reps = replicate_decisions(
+        realized, latent = replicate_decisions(
             cfg(n_authors=2, papers_per_author=3, n_cited=4, base_error=1.0, replicates=5)
         )
-        for r in reps.realized:
-            assert np.array_equal(r, 1 - reps.latent.accurate)
+        for r in realized:
+            assert np.array_equal(r, 1 - latent.accurate)
 
     def test_flip_frequency_matches_bernoulli(self):
         t = 200
-        reps = replicate_decisions(
+        realized, latent = replicate_decisions(
             cfg(n_authors=4, papers_per_author=3, n_cited=5, base_error=0.5, replicates=t)
         )
-        flips = np.stack([(r != reps.latent.accurate) for r in reps.realized]).mean(axis=0)
+        flips = np.stack([(r != latent.accurate) for r in realized]).mean(axis=0)
         bound = 3 * math.sqrt(0.25 / t)
         assert np.abs(flips - 0.5).max() < bound
 
@@ -174,28 +175,24 @@ class TestReplicateDecisions:
     def test_earlier_replicates_stable_when_adding_more(self):
         base = cfg(n_authors=3, papers_per_author=2, n_cited=4, base_error=0.3, replicates=3)
         more = cfg(n_authors=3, papers_per_author=2, n_cited=4, base_error=0.3, replicates=6)
-        r3 = replicate_decisions(base)
-        r6 = replicate_decisions(more)
-        for a, b in zip(r3.realized, r6.realized):
+        r3, _ = replicate_decisions(base)
+        r6, _ = replicate_decisions(more)
+        for a, b in zip(r3, r6):
             assert np.array_equal(a, b)
 
 
 class TestDecomposePatternNoise:
     def test_requires_two_occasions(self):
-        reps = replicate_decisions(cfg(base_error=0.2, replicates=2))
-        single = type(reps)(
-            realized=reps.realized[:1],
-            latent=reps.latent,
-        )
+        realized, latent = replicate_decisions(cfg(base_error=0.2, replicates=2))
         with pytest.raises(InsufficientReplicates):
-            decompose_pattern_noise(single)
+            decompose_pattern_noise(realized[:1], latent)
 
     def test_constant_pi_gives_vanishing_stable(self):
         reps = replicate_decisions(
             cfg(n_authors=20, papers_per_author=5, n_cited=30, base_error=0.3,
                 replicates=150, seed=9)
         )
-        stable, occasion = decompose_pattern_noise(reps)
+        stable, occasion = decompose_pattern_noise(*reps)
         assert stable < 0.02
         assert occasion > 0.3  # ~sqrt(0.3 * 0.7)
 
@@ -203,59 +200,56 @@ class TestDecomposePatternNoise:
         reps = replicate_decisions(
             cfg(n_authors=2, papers_per_author=2, n_cited=3, base_error=1.0, replicates=4)
         )
-        stable, occasion = decompose_pattern_noise(reps)
+        stable, occasion = decompose_pattern_noise(*reps)
         assert occasion == 0.0
         assert stable == 0.0
 
     def test_recovers_injected_interaction_spread(self):
-        reps = replicate_decisions(
+        realized, latent = replicate_decisions(
             cfg(n_authors=40, papers_per_author=5, n_cited=30, base_error=0.3,
                 interaction_spread=0.2, replicates=100, seed=7)
         )
-        stable, _ = decompose_pattern_noise(reps)
-        truth = reps.latent.stable_pattern_std()
+        stable, _ = decompose_pattern_noise(realized, latent)
+        truth = latent.stable_pattern_std()
         assert abs(stable - truth) / truth < 0.15
 
     def test_variance_identity(self):
-        reps = replicate_decisions(
+        realized, latent = replicate_decisions(
             cfg(n_authors=10, papers_per_author=4, n_cited=8, base_error=0.3,
                 interaction_spread=0.15, replicates=50, seed=3)
         )
-        stable, occasion = decompose_pattern_noise(reps)
-        errors = np.stack([np.abs(r - reps.latent.accurate) for r in reps.realized]).astype(float)
+        stable, occasion = decompose_pattern_noise(realized, latent)
+        errors = np.stack([np.abs(r - latent.accurate) for r in realized]).astype(float)
         total = 0.0
-        for i in np.unique(reps.latent.author_of_paper):
-            block = errors[:, reps.latent.author_of_paper == i, :]
+        for i in np.unique(latent.author_of_paper):
+            block = errors[:, latent.author_of_paper == i, :]
             total += block[0].size * ((block - block.mean()) ** 2).mean()
         total /= errors.shape[1] * errors.shape[2]
         assert stable**2 + occasion**2 == pytest.approx(total, abs=1e-9)
 
 
-def stacked_decomposition(reps):
+def stacked_decomposition(realized, latent):
     """The (T, J, K) float64 stack formula that the count form replaced."""
-    errors = np.stack([np.abs(r - reps.latent.accurate) for r in reps.realized]).astype(float)
+    errors = np.stack([np.abs(r - latent.accurate) for r in realized]).astype(float)
     occasion_var = float(errors.var(axis=0, ddof=1).mean())
     total = 0.0
-    for i in np.unique(reps.latent.author_of_paper):
-        block = errors[:, reps.latent.author_of_paper == i, :]
+    for i in np.unique(latent.author_of_paper):
+        block = errors[:, latent.author_of_paper == i, :]
         total += block[0].size * float(((block - block.mean()) ** 2).mean())
     total_var = total / (errors.shape[1] * errors.shape[2])
     return math.sqrt(max(0.0, total_var - occasion_var)), math.sqrt(occasion_var)
 
 
-def shuffled_rows(reps, rng):
-    """The same replicate set with its citing papers in a random order."""
-    perm = rng.permutation(len(reps.latent.author_of_paper))
-    latent = dataclasses.replace(
-        reps.latent,
-        flip_probs=reps.latent.flip_probs[perm],
-        author_of_paper=reps.latent.author_of_paper[perm],
-        accurate=reps.latent.accurate[perm],
+def shuffled_rows(realized, latent, rng):
+    """The same replicates with their citing papers in a random order."""
+    perm = rng.permutation(len(latent.author_of_paper))
+    shuffled = dataclasses.replace(
+        latent,
+        flip_probs=latent.flip_probs[perm],
+        author_of_paper=latent.author_of_paper[perm],
+        accurate=latent.accurate[perm],
     )
-    return type(reps)(
-        realized=tuple(r[perm] for r in reps.realized),
-        latent=latent,
-    )
+    return tuple(r[perm] for r in realized), shuffled
 
 
 class TestGroupedKernelOracle:
@@ -271,21 +265,21 @@ class TestGroupedKernelOracle:
     @pytest.mark.parametrize("config", CONFIGS)
     def test_decomposition_matches_stacked_formula(self, config, rng):
         reps = replicate_decisions(cfg(**config))
-        for case in (reps, shuffled_rows(reps, rng)):
-            got = decompose_pattern_noise(case)
-            assert got == pytest.approx(stacked_decomposition(case), abs=1e-12)
+        for case in (reps, shuffled_rows(*reps, rng)):
+            got = decompose_pattern_noise(*case)
+            assert got == pytest.approx(stacked_decomposition(*case), abs=1e-12)
 
     def test_identical_replicates_match_stacked_formula(self):
         reps = replicate_decisions(
             cfg(n_authors=3, papers_per_author=8, n_cited=4, base_error=1.0,
                 replicates=3)
         )
-        assert decompose_pattern_noise(reps) == (0.0, 0.0)
-        assert stacked_decomposition(reps) == (0.0, 0.0)
+        assert decompose_pattern_noise(*reps) == (0.0, 0.0)
+        assert stacked_decomposition(*reps) == (0.0, 0.0)
 
     @pytest.mark.parametrize("config", CONFIGS)
     def test_latent_stds_match_loops(self, config, rng):
-        latent = shuffled_rows(replicate_decisions(cfg(**config)), rng).latent
+        _, latent = shuffled_rows(*replicate_decisions(cfg(**config)), rng)
         n_authors = len(latent.author_offsets)
         blocks = [
             latent.flip_probs[latent.author_of_paper == i] for i in range(n_authors)
