@@ -175,6 +175,10 @@ def run_cli(argv=None):
     except (CitenoiseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: {args.command}: out of memory{detail}", file=sys.stderr)
+        return 1
 
 
 def main():

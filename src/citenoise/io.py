@@ -13,6 +13,17 @@ followed by one row per citing paper with its id, author id, and one cell
 per cited paper; a cell is exactly ``0`` or ``1``, with no spaces. The
 realized and accurate files must agree on all ids, and each loaded matrix
 takes J·K bytes (int8).
+
+The 0/1 matrices (a system's ``realized`` and ``accurate``, the omission
+input's ``cites``) are first decoded straight from the file's bytes, in one
+numpy pass over each matrix: :func:`_json_matrices` for a JSON document in
+any whitespace layout, :func:`_csv_matrix` for a CSV file. This byte path
+only accepts: it raises nothing, and on any file off its template it
+declines, and the file is decoded again from the start by the per-cell
+decoder (:func:`read_json` then :func:`_binary_cells`, or the ``csv`` reader
+of :func:`_read_matrix_csv`). That decoder is the only judge of a bad file,
+so every error type, message, offset and line number is its own, and a file
+both accept gives the same ids, owners and int8 matrices.
 """
 
 import contextlib
@@ -64,8 +75,13 @@ def _strings(value, what):
     raise TypeError(f"{what} must be a list of strings")
 
 
-def _binary_cells(rows, field):
-    """A matrix field of JSON integers, as int8 unless a cell is beyond int8."""
+def _binary_cells(doc, field, decoded):
+    """The matrix ``field`` of ``doc``: the int8 matrix in ``decoded`` if the
+    byte path decoded it; otherwise a list of rows of JSON integers, as int8
+    unless a cell is beyond int8."""
+    if decoded:
+        return decoded[field]
+    rows = doc[field]
     _check_matrix(rows, field, "integer")
     try:
         return np.array(rows, dtype=np.int8)
@@ -73,10 +89,11 @@ def _binary_cells(rows, field):
         return rows
 
 
-def system_from_document(doc):
+def system_from_document(doc, decoded=None):
     """The system of a schema "1" document; every id must be a JSON string and
     every ``realized``/``accurate`` cell a JSON integer. A missing or
-    wrong-typed field raises KeyError, TypeError or ValueError."""
+    wrong-typed field raises KeyError, TypeError or ValueError. ``decoded``
+    holds both matrices when :func:`_json_matrices` read them from the bytes."""
     if not isinstance(doc, dict):
         raise ParseError("system document must be a JSON object")
     version = doc.get("schema_version")
@@ -95,8 +112,8 @@ def system_from_document(doc):
             raise ParseError(f"citing paper {pid!r} names unknown author {owner!r}")
         citing.append((pid, author_index[owner]))
     cited_ids = _strings(doc["cited_paper_ids"], "'cited_paper_ids'")
-    realized = _binary_cells(doc["realized"], "realized")
-    accurate = _binary_cells(doc["accurate"], "accurate")
+    realized = _binary_cells(doc, "realized", decoded)
+    accurate = _binary_cells(doc, "accurate", decoded)
     return build_system(author_ids, citing, cited_ids, realized, accurate)
 
 
@@ -252,7 +269,97 @@ def read_json(path):
 def load_system(path):
     """The system in the JSON document at ``path``; errors name the file."""
     with _naming(path, "system document"):
-        return system_from_document(read_json(path))
+        return system_from_document(*_read_json_matrices(path, ("realized", "accurate")))
+
+
+def _read_json_matrices(path, fields):
+    """(document, {field: int8 matrix}) of the JSON file at ``path``: the
+    matrices of :func:`_json_matrices`, or, if it declines, the document of
+    :func:`read_json` and no matrices."""
+    with open(path, "rb") as fh:
+        accepted = _json_matrices(fh.read(), fields)
+    return accepted or (read_json(path), {})
+
+
+_JSON_SPACE = b" \t\n\r"
+
+
+def _json_matrices(data, fields):
+    """(document, {field: int8 matrix}) of the JSON bytes ``data``, whose
+    top-level ``fields`` each hold a matrix of the JSON integers 0 and 1, in
+    any whitespace layout; None for any other file.
+
+    Each field's key occurs once, followed by ":" and a block that runs to
+    the next '"' or "}": with its whitespace removed, J rows on the template
+    ``[d,...,d]``. The rest of the document goes to ``json`` with ``NaN`` in
+    place of each block, and must keep exactly those ``NaN`` as the fields'
+    values: a duplicate, escaped or nested key, or a ``NaN`` of the file's
+    own, declines the file.
+    """
+    blocks = []
+    for field in fields:
+        tag = b'"' + field.encode() + b'"'
+        at = data.find(tag)
+        if at < 0 or data.find(tag, at + 1) >= 0:
+            return None
+        at += len(tag)
+        colon = data.find(b":", at)
+        if colon < 0 or data[at:colon].strip(_JSON_SPACE):
+            return None
+        quote = data.find(b'"', colon)
+        end = quote if quote >= 0 else len(data)
+        brace = data.find(b"}", colon, end)
+        end = brace if brace >= 0 else end
+        # "[" + J rows "[d,...,d]" joined by "," + "]": J times the row
+        # template "[d,...,d]," once the outer brackets are swapped for a comma.
+        block = data[colon + 1:end].translate(None, _JSON_SPACE).removesuffix(b",")
+        k = (block.find(b"]") - 1) // 2
+        if block[:1] + block[-1:] != b"[]" or k < 1:
+            return None
+        template = b"[" + b"0," * (k - 1) + b"0],"
+        matrix = _template_digits([memoryview(block)[1:-1], b","], template)
+        if matrix is None:
+            return None
+        blocks.append((colon + 1, data.rfind(b"]", colon, end) + 1, field, matrix))
+    pieces, at = [], 0
+    for start, stop, _, _ in sorted(blocks):
+        pieces += [data[at:start], b"NaN"]
+        at = stop
+    pieces.append(data[at:])
+    spliced, constants = object(), []
+    try:
+        doc = json.loads(
+            b"".join(pieces).decode("utf-8"),
+            parse_constant=lambda name: constants.append(name) or spliced,
+        )
+    except (ValueError, RecursionError):  # UnicodeDecodeError, JSONDecodeError
+        return None
+    if (
+        type(doc) is not dict
+        or len(constants) != len(fields)
+        or any(doc.get(field) is not spliced for field in fields)
+    ):
+        return None
+    return doc, {field: matrix for _, _, field, matrix in blocks}
+
+
+def _template_digits(pieces, template):
+    """The J x K int8 matrix of the digits of the joined byte ``pieces``,
+    which must be J >= 1 repetitions of ``template`` byte for byte, except
+    that each of its K "0" may be "1"; every digit sits at an odd offset of
+    the template. None if any byte is off."""
+    text = bytearray().join(pieces)  # one copy, checked and decoded in place
+    width = len(template)
+    if not text or len(text) % width:
+        return None
+    rows = np.frombuffer(text, np.uint8).reshape(-1, width)
+    expected = np.frombuffer(template, np.uint8)
+    # Each byte minus its template byte is 0, or 1 on a digit; anything below
+    # the template byte wraps around to a large uint8.
+    rows -= expected
+    if not (rows.max(axis=0) <= (expected == ord("0"))).all():
+        return None
+    return np.ascontiguousarray(rows[:, 1 : 2 * template.count(b"0") : 2]).view(np.int8)
 
 
 def latent_to_document(latent):
@@ -317,10 +424,10 @@ def load_omission_inputs(sim_path, cites_path):
         stamps = [p["timestamp"] for p in papers]
         sim = build_similarity(ids, stamps, sim_doc["scores"])
     with _naming(cites_path, "citation document"):
-        cite_doc = read_json(cites_path)
+        cite_doc, decoded = _read_json_matrices(cites_path, ("cites",))
         if list(cite_doc["papers"]) != ids:
             raise ParseError("citation document paper ids disagree with similarity")
-        return sim, _binary_cells(cite_doc["cites"], "cites")
+        return sim, _binary_cells(cite_doc, "cites", decoded)
 
 
 def omissions_to_document(flags, k):
@@ -381,9 +488,15 @@ def _csv_rows(fh, path):
 def _read_matrix_csv(path):
     """(cited ids, [(citing id, author id)], J x K int8 matrix) of one CSV file.
 
-    Each row is checked whole, and all rows are decoded at once at the end:
-    a cell is exactly "0" or "1", so the joined rows are one byte per cell.
+    The matrix of :func:`_csv_matrix`, or, if it declines, of the ``csv``
+    reader: each row is checked whole, and all rows are decoded at once at
+    the end: a cell is exactly "0" or "1", so the joined rows are one byte
+    per cell.
     """
+    with open(path, "rb") as fh:
+        accepted = _csv_matrix(fh.read())
+    if accepted:
+        return accepted
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = _csv_rows(fh, path)
         header = next(rows, [])
@@ -408,6 +521,41 @@ def _read_matrix_csv(path):
             parts.append("".join(cells))
     matrix = np.frombuffer("".join(parts).encode("ascii"), np.int8) - ord("0")
     return cited_ids, citing, matrix.reshape(len(parts), len(cited_ids))
+
+
+def _csv_matrix(data):
+    """(cited ids, [(citing id, author id)], J x K int8 matrix) of the CSV
+    bytes ``data``: a UTF-8 header ``citing_paper,author,<K >= 1 cited ids>``
+    and J >= 1 rows ``<id>,<author>,<K cells of 0 or 1>``, each ending in LF,
+    with no quote, CR, NUL or blank line and no field longer than
+    ``csv.field_size_limit()``; None for any other file. The last 2K bytes
+    of all rows, ",d,...,d", are checked and decoded at once.
+    """
+    # The csv module of Python 3.10 rejects a NUL; later ones keep it.
+    if not data.endswith(b"\n") or any(c in data for c in (b'"', b"\r", b"\0")):
+        return None
+    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+    header = data[: ends[0]]
+    width = 2 * (header.count(b",") - 1)
+    if width < 2 or len(ends) < 2 or np.diff(ends).min() < width + 2:
+        return None  # no cited id, no body row, or a blank or short row
+    ends = ends.tolist()
+    view = memoryview(data)  # slices of it are not copies
+    matrix = _template_digits([view[end - width : end] for end in ends[1:]], b",0" * (width // 2))
+    prefixes = b"\n".join([view[start + 1 : end - width] for start, end in zip(ends, ends[1:])])
+    try:
+        header = header.decode("utf-8").split(",")
+        citing = [tuple(row.split(",")) for row in prefixes.decode("utf-8").split("\n")]
+    except UnicodeDecodeError:
+        return None
+    if (
+        matrix is None
+        or any(len(pair) != 2 for pair in citing)
+        or max(len(field) for fields in (header, *citing) for field in fields)
+        > csv.field_size_limit()
+    ):
+        return None
+    return header[2:], citing, matrix
 
 
 def load_system_csv(realized_path, accurate_path):

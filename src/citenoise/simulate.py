@@ -37,6 +37,8 @@ MAX_CLAMPED_FRACTION = 0.01
 _MAX_SPREAD = sys.float_info.max / 2
 # rng.binomial takes its n as a C int64.
 _MAX_SAMPLE_SIZE = np.iinfo(np.int64).max
+# The largest array size numpy can express: a bound on J x K and on trials.
+_MAX_SIZE = np.iinfo(np.intp).max
 
 _INT_FIELDS = ("seed", "n_authors", "papers_per_author", "n_cited", "replicates")
 _REAL_FIELDS = ("should_cite_prob", "base_error", "level_spread", "interaction_spread")
@@ -86,6 +88,11 @@ class GenerativeConfig:
             raise InvalidConfig("seed must be nonnegative")
         if self.n_authors < 1 or self.papers_per_author < 1 or self.n_cited < 1:
             raise InvalidConfig("system dimensions must be positive")
+        if self.n_citing * self.n_cited > _MAX_SIZE:
+            raise InvalidConfig(
+                f"system dimensions n_authors * papers_per_author * n_cited must be "
+                f"at most {_MAX_SIZE}"
+            )
         if not 0.0 <= self.should_cite_prob <= 1.0:
             raise InvalidConfig("should_cite_prob must be in [0, 1]")
         if not 0.0 <= self.base_error <= 1.0:
@@ -251,14 +258,20 @@ def decompose_pattern_noise(realized, latent):
     return math.sqrt(stable_var), math.sqrt(occasion_var)
 
 
+def _check_trials(trials):
+    if trials < 100:
+        raise InvalidConfig("need at least 100 trials")
+    if trials > _MAX_SIZE:
+        raise InvalidConfig(f"trials must be at most {_MAX_SIZE}, got {trials}")
+
+
 def aggregation_curve(config, sample_sizes, trials):
     """Empirical vs theoretical SE of a mean of n Bernoulli decisions.
 
     Returns a list of (n, empirical_se, theoretical_se) rows; the citation
     probability p is the config's should_cite_prob.
     """
-    if trials < 100:
-        raise InvalidConfig("need at least 100 trials")
+    _check_trials(trials)
     if any(not 1 <= n <= _MAX_SAMPLE_SIZE for n in sample_sizes):
         raise InvalidConfig(f"sample sizes must be in [1, {_MAX_SAMPLE_SIZE}]")
     p = config.should_cite_prob
@@ -284,8 +297,7 @@ def expected_bias(config):
 
 def bias_recovery(config, trials):
     """Average measured bias over generated systems vs the analytic value."""
-    if trials < 100:
-        raise InvalidConfig("need at least 100 trials")
+    _check_trials(trials)
     children = np.random.SeedSequence(config.seed).spawn(trials)
     total = 0.0
     for child in children:

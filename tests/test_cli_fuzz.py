@@ -24,6 +24,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from citenoise.cli import run_cli
+from edits import csv_pairs
 
 # JSON scalars of every type a document field can be given by mistake.
 scalars = st.one_of(
@@ -112,13 +113,16 @@ def test_mutate_leaves_drawn_values_unchanged():
 def run_on_documents(docs, argv):
     """Exit code and stderr of ``run_cli`` with ``{i}`` in argv the i-th file.
 
-    A ``str`` document is written as it is, any other as JSON."""
+    A ``bytes`` or ``str`` document is written as it is, any other as JSON."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         paths = [str(Path(tmp) / f"doc{i}.json") for i in range(len(docs))]
         for path, doc in zip(paths, docs):
-            text = doc if isinstance(doc, str) else json.dumps(doc)
-            Path(path).write_text(text, encoding="utf-8")
+            if isinstance(doc, bytes):
+                Path(path).write_bytes(doc)
+            else:
+                text = doc if isinstance(doc, str) else json.dumps(doc)
+                Path(path).write_text(text, encoding="utf-8")
         argv = [arg.format(*paths) for arg in argv]
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = run_cli(argv)
@@ -261,5 +265,13 @@ def test_mutated_justification_tables_end_in_an_exit_code(files):
     code, err = run_on_documents(
         files, ["audit", "--refs", "{0}", "--intext", "{1}", "--jt", "{2}"]
     )
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(pair=csv_pairs(), fmt=st.sampled_from(["json", "table"]))
+def test_edited_csv_pairs_end_in_an_exit_code(pair, fmt):
+    code, err = run_on_documents(pair, ["analyze", "--input", "{0}", "{1}", "--format", fmt])
     assert code in (0, 1, 2)
     assert "Traceback" not in err

@@ -371,6 +371,29 @@ class TestCli:
         assert out == ""
         assert f"error: --ns must be a comma-separated integer list: {ns!r}" in err
 
+    def test_aggregate_trials_beyond_intp_exits_1(self, tmp_path, capsys):
+        config = write_config(tmp_path, seed=3)
+        trials = "100000000000000000000"
+        code = run_cli(["aggregate", "--config", config, "--ns", "1", "--trials", trials])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert f"error: trials must be at most {np.iinfo(np.intp).max}, got {trials}" in err
+
+    def test_memory_error_exits_1_naming_the_subcommand(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 8.00 EiB")
+
+        monkeypatch.setattr("citenoise.simulate._sample_latent", out_of_memory)
+        config = write_config(tmp_path, seed=3)
+        code = run_cli(["simulate", "--config", config])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert err == "error: simulate: out of memory (Unable to allocate 8.00 EiB)\n"
+
     def test_aggregate_sample_size_beyond_int64_exits_1(self, tmp_path, capsys):
         config = write_config(tmp_path, seed=3)
         largest = str(2**63 - 1)

@@ -33,6 +33,12 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig):
             cfg(base_error=-0.1)
 
+    def test_rejects_dimensions_whose_product_overflows(self):
+        # Checked before anything is sized: J x K is 2**80 cells.
+        with pytest.raises(InvalidConfig, match="n_authors \\* papers_per_author \\* n_cited"):
+            cfg(n_authors=2**40, papers_per_author=2**40)
+        assert cfg(n_authors=2**31, papers_per_author=2**31, n_cited=1).n_citing == 2**62
+
     def test_rejects_mismatched_bias_vector(self):
         with pytest.raises(InvalidConfig):
             cfg(n_cited=3, bias_shift=(0.1, 0.2))
@@ -349,6 +355,11 @@ class TestBiasRecovery:
         injected, estimated = bias_recovery(config, trials=1000)
         assert injected > 0
         assert estimated > 0
+
+    def test_rejects_trials_beyond_intp(self):
+        # Rejected before any substream is spawned.
+        with pytest.raises(InvalidConfig, match="trials must be at most"):
+            bias_recovery(cfg(), trials=np.iinfo(np.intp).max + 1)
 
     def test_constructed_cancellation_noise_without_bias(self):
         # with q = 0.5, expected incorrect positives and negatives balance
