@@ -1,26 +1,26 @@
 """Serialization of systems, reports and the other documents.
 
-Every input file is read and every output written here: JSON inputs are
-decoded by :func:`read_json`, and text goes out through :func:`write_text`.
+Every input file is read and every output written here: each input is
+opened once, by :func:`_read`, and text goes out through :func:`write_text`.
 JSON outputs are rendered by :func:`dump_json`, whose text is exactly
 ``json.dumps(doc, indent=2) + "\\n"`` for every JSON-able document.
-Errors found while an input is loaded name the file: each file is read and
-checked inside :func:`_naming`, which also names the file in an error
-raised by the checks in other modules. Two on-disk system representations are
-supported: a JSON document (schema_version "1") and a pair of CSV matrices.
-The CSV layout is one header row ``citing_paper,author,<cited ids...>``
-followed by one row per citing paper with its id, author id, and one cell
-per cited paper; a cell is exactly ``0`` or ``1``, with no spaces. The
-realized and accurate files must agree on all ids, and each loaded matrix
-takes J·K bytes (int8).
+Errors found while an input is loaded name the file: each file is decoded
+as UTF-8, whole, and checked inside :func:`_naming`, which also names the
+file in an error raised by the checks in other modules. Two on-disk system
+representations are supported: a JSON document (schema_version "1") and a
+pair of CSV matrices. The CSV layout is one header row
+``citing_paper,author,<cited ids...>`` followed by one row per citing paper
+with its id, author id, and one cell per cited paper; a cell is exactly
+``0`` or ``1``, with no spaces. The realized and accurate files must agree
+on all ids, and each loaded matrix takes J·K bytes (int8).
 
 The 0/1 matrices (a system's ``realized`` and ``accurate``, the omission
 input's ``cites``) are first decoded straight from the file's bytes, in one
 numpy pass over each matrix: :func:`_json_matrices` for a JSON document in
 any whitespace layout, :func:`_csv_matrix` for a CSV file. This byte path
 only accepts: it raises nothing, and on any file off its template it
-declines, and the file is decoded again from the start by the per-cell
-decoder (:func:`read_json` then :func:`_binary_cells`, or the ``csv`` reader
+declines, and the same bytes are decoded again from the start by the
+per-cell decoder (``json`` then :func:`_binary_cells`, or the ``csv`` reader
 of :func:`_read_matrix_csv`). That decoder is the only judge of a bad file,
 so every error type, message, offset and line number is its own, and a file
 both accept gives the same ids, owners and int8 matrices.
@@ -31,6 +31,7 @@ import csv
 import dataclasses
 import io as _io
 import json
+import re
 import sys
 from decimal import ROUND_HALF_UP, Decimal
 from json.encoder import encode_basestring_ascii
@@ -75,13 +76,13 @@ def _strings(value, what):
     raise TypeError(f"{what} must be a list of strings")
 
 
-def _binary_cells(doc, field, decoded):
-    """The matrix ``field`` of ``doc``: the int8 matrix in ``decoded`` if the
-    byte path decoded it; otherwise a list of rows of JSON integers, as int8
-    unless a cell is beyond int8."""
-    if decoded:
-        return decoded[field]
+def _binary_cells(doc, field):
+    """The matrix ``field`` of ``doc``: the int8 matrix the byte path put
+    there, or a list of rows of JSON integers, as int8 unless a cell is
+    beyond int8."""
     rows = doc[field]
+    if type(rows) is np.ndarray:
+        return rows
     _check_matrix(rows, field, "integer")
     try:
         return np.array(rows, dtype=np.int8)
@@ -89,11 +90,11 @@ def _binary_cells(doc, field, decoded):
         return rows
 
 
-def system_from_document(doc, decoded=None):
+def system_from_document(doc):
     """The system of a schema "1" document; every id must be a JSON string and
-    every ``realized``/``accurate`` cell a JSON integer. A missing or
-    wrong-typed field raises KeyError, TypeError or ValueError. ``decoded``
-    holds both matrices when :func:`_json_matrices` read them from the bytes."""
+    every ``realized``/``accurate`` cell a JSON integer, unless
+    :func:`_json_matrices` already decoded the matrix. A missing or
+    wrong-typed field raises KeyError, TypeError or ValueError."""
     if not isinstance(doc, dict):
         raise ParseError("system document must be a JSON object")
     version = doc.get("schema_version")
@@ -112,8 +113,8 @@ def system_from_document(doc, decoded=None):
             raise ParseError(f"citing paper {pid!r} names unknown author {owner!r}")
         citing.append((pid, author_index[owner]))
     cited_ids = _strings(doc["cited_paper_ids"], "'cited_paper_ids'")
-    realized = _binary_cells(doc, "realized", decoded)
-    accurate = _binary_cells(doc, "accurate", decoded)
+    realized = _binary_cells(doc, "realized")
+    accurate = _binary_cells(doc, "accurate")
     return build_system(author_ids, citing, cited_ids, realized, accurate)
 
 
@@ -235,59 +236,58 @@ def _naming(path, document=None):
         exc.args = (f"{path}: {exc}",)
         raise
     # Before ``malformed``: UnicodeDecodeError and JSONDecodeError are ValueErrors.
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: {_whole_file_decode_error(path, exc)}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     except malformed as exc:
         raise ParseError(f"{path}: malformed {document}: {exc}") from exc
 
 
-def _whole_file_decode_error(path, exc):
-    """The UTF-8 decoding error of the whole file at ``path``, else ``exc``.
-
-    A text file read line by line, or through ``csv``, is decoded in chunks,
-    and ``exc`` gives the offset within its chunk; the bytes are decoded
-    again, on this error path only, for the offset within the file.
-    """
+def _read(path):
+    """The bytes of the input file at ``path``: the one place an input is opened."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as whole:
-        return whole
-    return exc
+        return fh.read()
+
+
+def _text(data):
+    """The UTF-8 bytes ``data`` decoded whole, so that an error gives its
+    offset in the file, with CRLF and CR read as LF, as in a file opened in
+    text mode."""
+    text = data.decode("utf-8")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def read_json(path):
     """Decode one JSON file; read it inside :func:`_naming`, which names the
     file in a decoding error."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return json.loads(_text(_read(path)))
 
 
 def load_system(path):
     """The system in the JSON document at ``path``; errors name the file."""
     with _naming(path, "system document"):
-        return system_from_document(*_read_json_matrices(path, ("realized", "accurate")))
+        return system_from_document(_read_json_matrices(path, ("realized", "accurate")))
 
 
 def _read_json_matrices(path, fields):
-    """(document, {field: int8 matrix}) of the JSON file at ``path``: the
-    matrices of :func:`_json_matrices`, or, if it declines, the document of
-    :func:`read_json` and no matrices."""
-    with open(path, "rb") as fh:
-        accepted = _json_matrices(fh.read(), fields)
-    return accepted or (read_json(path), {})
+    """The document of the JSON file at ``path``: with its ``fields`` decoded
+    by :func:`_json_matrices`, or, if it declines, as :func:`read_json`
+    decodes it, from the same bytes."""
+    data = _read(path)
+    doc = _json_matrices(data, fields)
+    if doc is None:
+        text = _text(data)
+        del data  # the bytes go before the parse, as in read_json
+        doc = json.loads(text)
+    return doc
 
 
 _JSON_SPACE = b" \t\n\r"
 
 
 def _json_matrices(data, fields):
-    """(document, {field: int8 matrix}) of the JSON bytes ``data``, whose
-    top-level ``fields`` each hold a matrix of the JSON integers 0 and 1, in
-    any whitespace layout; None for any other file.
+    """The document of the JSON bytes ``data``, with each of its top-level
+    ``fields``, a matrix of the JSON integers 0 and 1 in any whitespace
+    layout, as an int8 matrix; None for any other file.
 
     Each field's key occurs once, followed by ":" and a block that runs to
     the next '"' or "}": with its whitespace removed, J rows on the template
@@ -340,7 +340,9 @@ def _json_matrices(data, fields):
         or any(doc.get(field) is not spliced for field in fields)
     ):
         return None
-    return doc, {field: matrix for _, _, field, matrix in blocks}
+    for _, _, field, matrix in blocks:
+        doc[field] = matrix
+    return doc
 
 
 def _template_digits(pieces, template):
@@ -424,10 +426,10 @@ def load_omission_inputs(sim_path, cites_path):
         stamps = [p["timestamp"] for p in papers]
         sim = build_similarity(ids, stamps, sim_doc["scores"])
     with _naming(cites_path, "citation document"):
-        cite_doc, decoded = _read_json_matrices(cites_path, ("cites",))
+        cite_doc = _read_json_matrices(cites_path, ("cites",))
         if list(cite_doc["papers"]) != ids:
             raise ParseError("citation document paper ids disagree with similarity")
-        return sim, _binary_cells(cite_doc, "cites", decoded)
+        return sim, _binary_cells(cite_doc, "cites")
 
 
 def omissions_to_document(flags, k):
@@ -443,8 +445,8 @@ def omissions_to_document(flags, k):
 
 
 def _read_keys(path):
-    with open(path, "r", encoding="utf-8") as fh, _naming(path):
-        return [line.strip() for line in fh if line.strip()]
+    with _naming(path):
+        return [line.strip() for line in _text(_read(path)).split("\n") if line.strip()]
 
 
 def load_audit_inputs(refs_path, intext_path, jt_path):
@@ -452,8 +454,8 @@ def load_audit_inputs(refs_path, intext_path, jt_path):
     order; the entries are the tuple that parse_justification_table returns."""
     refs = _read_keys(refs_path)
     intext = _read_keys(intext_path)
-    with open(jt_path, "r", encoding="utf-8") as fh, _naming(jt_path):
-        return refs, intext, parse_justification_table(fh.read())
+    with _naming(jt_path):
+        return refs, intext, parse_justification_table(_text(_read(jt_path)))
 
 
 def audit_to_document(report):
@@ -470,55 +472,51 @@ def audit_to_document(report):
 
 
 _BINARY_CELLS = frozenset(("0", "1"))
-
-
-def _csv_rows(fh, path):
-    """The rows of a CSV file; a csv.Error, such as a field over
-    csv.field_size_limit(), raises ParseError naming the file and line, and
-    text that is not UTF-8 one naming the file."""
-    rows = csv.reader(fh)
-    try:
-        yield from rows
-    except csv.Error as exc:
-        raise ParseError(f"{path}:{rows.line_num}: {exc}") from exc
-    except UnicodeDecodeError as exc:  # decoded in chunks: the line is not known
-        raise ParseError(f"{path}: {_whole_file_decode_error(path, exc)}") from exc
+# The lines io.StringIO(text, newline="") gives, ending in LF, CR or CRLF,
+# without its copy of the text at four bytes a character.
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
 
 def _read_matrix_csv(path):
     """(cited ids, [(citing id, author id)], J x K int8 matrix) of one CSV file.
 
     The matrix of :func:`_csv_matrix`, or, if it declines, of the ``csv``
-    reader: each row is checked whole, and all rows are decoded at once at
-    the end: a cell is exactly "0" or "1", so the joined rows are one byte
-    per cell.
+    reader over the same bytes: each row is checked whole, and all rows are
+    decoded at once at the end, one byte per cell. An error, a csv.Error
+    too, names the file and the last physical line of the row at fault.
     """
-    with open(path, "rb") as fh:
-        accepted = _csv_matrix(fh.read())
+    data = _read(path)
+    accepted = _csv_matrix(data)
     if accepted:
         return accepted
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = _csv_rows(fh, path)
+    with _naming(path):
+        text = data.decode("utf-8")
+    del data  # the bytes go before the rows are parsed
+    rows = csv.reader(line[0] for line in _LINE.finditer(text))
+    try:
         header = next(rows, [])
         if len(header) < 3:
             raise ParseError(f"{path}: expected header 'citing_paper,author,<cited ids>'")
         cited_ids = header[2:]
         citing = []
         parts = []
-        for lineno, row in enumerate(rows, start=2):
+        for row in rows:
             if not row:
                 continue
             if len(row) != len(header):
-                raise ParseError(f"{path}:{lineno}: expected {len(header)} fields")
+                raise ParseError(f"{path}:{rows.line_num}: expected {len(header)} fields")
             cells = row[2:]
             if not _BINARY_CELLS.issuperset(cells):
                 col = next(i for i, cell in enumerate(cells) if cell not in _BINARY_CELLS)
                 raise ParseError(
-                    f"{path}:{lineno}: non-binary value {cells[col]!r} in column "
+                    f"{path}:{rows.line_num}: non-binary value {cells[col]!r} in column "
                     f"{cited_ids[col]!r}"
                 )
             citing.append((row[0], row[1]))
             parts.append("".join(cells))
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{rows.line_num}: {exc}") from exc
+    del text, rows  # the text goes before the matrix is built
     matrix = np.frombuffer("".join(parts).encode("ascii"), np.int8) - ord("0")
     return cited_ids, citing, matrix.reshape(len(parts), len(cited_ids))
 

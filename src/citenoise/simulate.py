@@ -104,7 +104,7 @@ class GenerativeConfig:
                 raise InvalidConfig(f"{name} must be at most {_MAX_SPREAD!r}")
         if self.replicates < 1:
             raise InvalidConfig("replicates must be >= 1")
-        if len(self.bias_offsets()) != self.n_cited:
+        if not np.isscalar(shift) and len(self.bias_offsets()) != self.n_cited:
             raise InvalidConfig(
                 f"bias_shift must be scalar or length {self.n_cited}"
             )
@@ -298,10 +298,11 @@ def expected_bias(config):
 def bias_recovery(config, trials):
     """Average measured bias over generated systems vs the analytic value."""
     _check_trials(trials)
-    children = np.random.SeedSequence(config.seed).spawn(trials)
+    parent = np.random.SeedSequence(config.seed)
     total = 0.0
-    for child in children:
-        rng_a, rng_l, rng_flip = map(np.random.default_rng, child.spawn(3))
+    for _ in range(trials):
+        # One child at a time: the spawn keys (0,), (1,), ... of spawn(trials).
+        rng_a, rng_l, rng_flip = map(np.random.default_rng, parent.spawn(1)[0].spawn(3))
         latent = _sample_latent(config, rng_a, rng_l)
         realized = _sample_realized(latent, rng_flip)
         # Binary and J x K by construction: the column counts need no system.

@@ -134,10 +134,10 @@ def test_byte_path_accepts_what_citenoise_and_json_write(tmp_path, seed):
     for text in (cio.dump_json(doc), json.dumps(doc), json.dumps(doc, indent="\t")):
         decoded = cio._json_matrices(text.encode(), ("realized", "accurate"))
         assert decoded is not None
-        assert cio.system_from_document(*decoded) == s
+        assert cio.system_from_document(decoded) == s
     cites = {"papers": ["x", "y"], "cites": s.realized[:2, :2].tolist()}
     for text in (cio.dump_json(cites), json.dumps(cites)):
-        _, decoded = cio._json_matrices(text.encode(), ("cites",))
+        decoded = cio._json_matrices(text.encode(), ("cites",))
         assert np.array_equal(decoded["cites"], s.realized[:2, :2])
     cio.save_system_csv(s, tmp_path / "R.csv", tmp_path / "A.csv")
     for path, matrix in ((tmp_path / "R.csv", s.realized), (tmp_path / "A.csv", s.accurate)):

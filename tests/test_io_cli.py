@@ -1,8 +1,11 @@
+import builtins
+import collections
 import csv
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -158,29 +161,31 @@ def canonical_author_order(system):
 
 
 def reference_read_matrix_csv(path):
-    """Per-cell reference reader: checks and converts every cell in Python."""
+    """Per-cell reference reader: checks and converts every cell in Python.
+    An error names the last physical line of the row at fault."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or len(rows[0]) < 3:
-        raise ParseError(f"{path}: expected header 'citing_paper,author,<cited ids>'")
-    cited_ids = rows[0][2:]
-    citing = []
-    matrix = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(rows[0]):
-            raise ParseError(f"{path}:{lineno}: expected {len(rows[0])} fields")
-        values = []
-        for col, cell in enumerate(row[2:]):
-            if cell not in ("0", "1"):
-                raise ParseError(
-                    f"{path}:{lineno}: non-binary value {cell!r} in column "
-                    f"{cited_ids[col]!r}"
-                )
-            values.append(int(cell))
-        citing.append((row[0], row[1]))
-        matrix.append(values)
+        rows = csv.reader(fh)
+        header = next(rows, [])
+        if len(header) < 3:
+            raise ParseError(f"{path}: expected header 'citing_paper,author,<cited ids>'")
+        cited_ids = header[2:]
+        citing = []
+        matrix = []
+        for row in rows:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"{path}:{rows.line_num}: expected {len(header)} fields")
+            values = []
+            for col, cell in enumerate(row[2:]):
+                if cell not in ("0", "1"):
+                    raise ParseError(
+                        f"{path}:{rows.line_num}: non-binary value {cell!r} in column "
+                        f"{cited_ids[col]!r}"
+                    )
+                values.append(int(cell))
+            citing.append((row[0], row[1]))
+            matrix.append(values)
     return cited_ids, citing, matrix
 
 
@@ -264,6 +269,41 @@ class TestCsvReader:
         rp.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ParseError, match=f"R\\.csv:3: expected {s.n_cited + 2} fields"):
             cio.load_system_csv(rp, ap)
+
+    @pytest.mark.parametrize(
+        "last_row, message",
+        [("r,a,2\n", "non-binary value '2'"), ("r,a\n", "expected 3 fields")],
+        ids=["non-binary", "short"],
+    )
+    def test_error_names_the_physical_line(self, tmp_path, last_row, message):
+        # The quoted id "p\nq" takes lines 2 and 3, so row r is line 4.
+        rp, ap = tmp_path / "R.csv", tmp_path / "A.csv"
+        head = 'citing_paper,author,c\n"p\nq",a,1\n'
+        rp.write_bytes((head + last_row).encode())
+        ap.write_bytes((head + "r,a,1\n").encode())
+        with pytest.raises(ParseError) as got:
+            cio.load_system_csv(rp, ap)
+        with pytest.raises(ParseError) as ref:
+            reference_read_matrix_csv(rp)
+        assert str(got.value) == str(ref.value)
+        assert str(got.value).startswith(f"{rp}:4: {message}")
+
+    def test_declined_file_holds_one_copy_of_its_text(self, tmp_path):
+        """A file the byte path declines is parsed from its text alone: its
+        bytes go once decoded, its text once parsed, and no four-byte-per-
+        character copy of it is made."""
+        rng = np.random.default_rng(3)
+        path = tmp_path / "R.csv"
+        path.write_text("citing_paper,author," + ",".join(f"c{k}" for k in range(200)) + "\n"
+                        + "".join(f'"p,{j}",a,' + ",".join(map(str, rng.integers(0, 2, 200)))
+                                  + "\n" for j in range(2000)))
+        tracemalloc.start()
+        try:
+            cio._read_matrix_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * path.stat().st_size
 
     def test_header_only_is_empty_system(self, tmp_path):
         for path in (tmp_path / "R.csv", tmp_path / "A.csv"):
@@ -886,13 +926,16 @@ class TestErrorsNameTheirFile:
         assert "Traceback" not in err
         assert f"error: {bad}: 'utf-8' codec can't decode" in err
 
-    @pytest.mark.parametrize("role", ["realized", "refs"])
+    @pytest.mark.parametrize("role", ["realized", "realized_non_binary", "refs"])
     def test_text_not_utf8_position_is_within_file(self, tmp_path, capsys, role):
-        """Text read line by line is decoded in chunks; the error's byte
-        position is still its offset in the file."""
+        """A file is decoded whole before anything else is checked: the
+        error's byte position is its offset in the file, and it is reported
+        before a fault that comes earlier in the file, such as a non-binary
+        CSV cell on line 2."""
         rows = "".join(f"p{i:06d},a,1\n" for i in range(3000))
-        texts = {"realized": "citing_paper,author,c\n" + rows, "accurate": "",
-                 "refs": rows, "intext": "A\n", "jt": "A | S | x\n"}
+        header = "citing_paper,author,c\n"
+        texts = {"realized": header + rows, "realized_non_binary": header + "p,a,2\n" + rows,
+                 "accurate": "", "refs": rows, "intext": "A\n", "jt": "A | S | x\n"}
         paths = {name: tmp_path / name for name in texts}
         for name, text in texts.items():
             paths[name].write_text(text)
@@ -901,6 +944,8 @@ class TestErrorsNameTheirFile:
         paths[role].write_bytes(data)
         commands = {
             "realized": ["analyze", "--input", paths["realized"], paths["accurate"]],
+            "realized_non_binary": ["analyze", "--input", paths["realized_non_binary"],
+                                    paths["accurate"]],
             "refs": ["audit", "--refs", paths["refs"], "--intext", paths["intext"],
                      "--jt", paths["jt"]],
         }
@@ -908,3 +953,106 @@ class TestErrorsNameTheirFile:
         assert code == 1
         assert (f"error: {paths[role]}: 'utf-8' codec can't decode byte 0xff in "
                 "position 20000: invalid start byte") in err
+
+
+class TestEachInputIsOpenedOnce:
+    """Every loader takes a file's bytes from one open: when the byte path
+    accepts the file, when it declines it and the per-cell decoder reads the
+    same bytes, and when the file is not UTF-8."""
+
+    # Ids the byte paths decline: an author id that is also a matrix key, a
+    # paper id that is the citation key, and CSV ids that need quotes.
+    DECLINED = citenoise.build_system(
+        ["realized", 'a "x"'], [("p,1", 0), ("q", 1)], ["c", "d"],
+        [[0, 1], [1, 0]], [[1, 1], [0, 0]],
+    )
+
+    def write_inputs(self, tmp_path, declined):
+        system = self.DECLINED if declined else builtin_fixture("table1")
+        paths = {"system": tmp_path / "system.json", "realized": tmp_path / "R.csv",
+                 "accurate": tmp_path / "A.csv", "refs": tmp_path / "refs.txt",
+                 "intext": tmp_path / "intext.txt", "jt": tmp_path / "jt.txt"}
+        cio.save_system(system, paths["system"])
+        cio.save_system_csv(system, paths["realized"], paths["accurate"])
+        ids = ["cites", "b"] if declined else ["a", "b"]
+        paths["sim"], paths["cites"] = write_omission_docs(
+            tmp_path, [{"id": i, "timestamp": t} for t, i in enumerate(ids)], SCORES)
+        paths["config"] = Path(write_config(tmp_path, seed=1, n_authors=2, n_cited=2,
+                                            replicates=2))
+        for name, text in [("refs", "A\n"), ("intext", "A\n"), ("jt", "A | S | x\n")]:
+            paths[name].write_text(text)
+        # The byte path must decline exactly the files meant to be declined.
+        matrices = [cio._json_matrices(paths["system"].read_bytes(), ("realized", "accurate")),
+                    cio._json_matrices(paths["cites"].read_bytes(), ("cites",)),
+                    cio._csv_matrix(paths["realized"].read_bytes()),
+                    cio._csv_matrix(paths["accurate"].read_bytes())]
+        assert all((m is None) == declined for m in matrices)
+        return paths
+
+    @staticmethod
+    def commands(paths):
+        return [
+            ["analyze", "--input", paths["system"]],
+            ["analyze", "--input", paths["realized"], paths["accurate"]],
+            ["simulate", "--config", paths["config"]],
+            ["retest", "--config", paths["config"]],
+            ["aggregate", "--config", paths["config"], "--ns", "1", "--trials", "100"],
+            ["omissions", "--sim", paths["sim"], "--citations", paths["cites"], "--k", "1"],
+            ["audit", "--refs", paths["refs"], "--intext", paths["intext"],
+             "--jt", paths["jt"]],
+        ]
+
+    @staticmethod
+    def opens(argv, capsys, monkeypatch):
+        """(exit code, {path: times opened}) of one run of the command line."""
+        counts = collections.Counter()
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            counts[os.fspath(file)] += 1
+            return real_open(file, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "open", counting_open)
+            code, _ = run_with_error(argv, capsys)
+        return code, counts
+
+    @pytest.mark.parametrize("declined", [False, True], ids=["accepted", "declined"])
+    def test_valid_inputs(self, tmp_path, capsys, monkeypatch, declined):
+        for argv in self.commands(self.write_inputs(tmp_path, declined)):
+            code, counts = self.opens(argv, capsys, monkeypatch)
+            inputs = [str(a) for a in argv if isinstance(a, Path)]
+            assert code == 0
+            assert {path: counts[path] for path in inputs} == dict.fromkeys(inputs, 1)
+
+    def test_inputs_not_utf8(self, tmp_path, capsys, monkeypatch):
+        paths = self.write_inputs(tmp_path, declined=False)
+        bad = {}
+        for path in paths.values():
+            bad[path] = path.with_name("bad-" + path.name)
+            bad[path].write_bytes(b"\xff" + path.read_bytes())
+        for argv in self.commands(paths):
+            for at in [i for i, a in enumerate(argv) if isinstance(a, Path)]:
+                args = [*argv[:at], bad[argv[at]], *argv[at + 1:]]
+                code, counts = self.opens(args, capsys, monkeypatch)
+                assert code == 1
+                # The bad file is read once; a file after it is not read at all.
+                assert counts[str(args[at])] == 1
+                assert all(counts[str(a)] <= 1 for a in args if isinstance(a, Path))
+
+
+def test_text_inputs_read_cr_and_crlf_as_lf(tmp_path):
+    """CR and CRLF read as LF, as in a file opened in text mode: key lines
+    end at either, and a JSON error counts each line end as one character."""
+    refs, intext, jt = (tmp_path / name for name in ("refs.txt", "intext.txt", "jt.txt"))
+    refs.write_bytes(b"A\rB\r\nC\n")
+    intext.write_bytes(b"A\rB\rC\r")
+    jt.write_bytes(b"A | S | x\rB | S | y\r\nC | S | z\n")
+    keys, in_text, entries = cio.load_audit_inputs(refs, intext, jt)
+    assert keys == in_text == ["A", "B", "C"]
+    assert len(entries) == 3
+    for end in (b"\r", b"\r\n"):
+        bad = tmp_path / "system.json"
+        bad.write_bytes(end.join([b"{", b' "schema_version": "1",', b" x", b"}"]))
+        with pytest.raises(ParseError, match=r"line 3 column 2 \(char 27\)"):
+            cio.load_system(bad)

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +24,16 @@ def cfg(**kw):
     return GenerativeConfig(**kw)
 
 
+def traced_peak(call):
+    """The peak bytes ``tracemalloc`` sees allocated while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestConfigValidation:
     def test_rejects_zero_sizes(self):
         with pytest.raises(InvalidConfig):
@@ -42,6 +54,10 @@ class TestConfigValidation:
     def test_rejects_mismatched_bias_vector(self):
         with pytest.raises(InvalidConfig):
             cfg(n_cited=3, bias_shift=(0.1, 0.2))
+
+    def test_scalar_bias_allocates_nothing_sized_by_n_cited(self):
+        # A per-cited-paper vector would take 80 MB here.
+        assert traced_peak(lambda: GenerativeConfig(seed=1, n_cited=10**7)) < 2**20
 
     @pytest.mark.parametrize(
         "field, value",
@@ -355,6 +371,18 @@ class TestBiasRecovery:
         injected, estimated = bias_recovery(config, trials=1000)
         assert injected > 0
         assert estimated > 0
+
+    def test_child_seeds_are_spawned_as_the_trials_run(self):
+        # Stopped in the first trial: nothing was spawned for the other 49,999.
+        class Stop(Exception):
+            pass
+
+        def run():
+            with pytest.raises(Stop):
+                bias_recovery(cfg(), trials=50_000)
+
+        with mock.patch("citenoise.simulate._sample_latent", side_effect=Stop):
+            assert traced_peak(run) < 2 * 2**20
 
     def test_rejects_trials_beyond_intp(self):
         # Rejected before any substream is spawned.
