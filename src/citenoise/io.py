@@ -123,9 +123,10 @@ def dump_json(doc):
     document: fixed key order, LF, trailing newline.
 
     ``json.dumps`` with an indent runs the pure-Python encoder, so each
-    top-level value of a dict document is rendered on its own: number
-    matrices and vectors and lists of flat records by templates, any other
-    value by ``json.dumps``.
+    top-level value of a dict document is rendered on its own. A non-empty
+    list of scalars, of scalar lists or of flat records takes a template,
+    where :func:`_scalars` renders each list, row or field; any other value
+    goes to ``json.dumps``.
     """
     if type(doc) is not dict or not doc or not all(type(key) is str for key in doc):
         return json.dumps(doc, indent=2) + "\n"
@@ -141,48 +142,51 @@ def _render_value(value):
     renders it one level deep."""
     if type(value) is list and value:
         kind = type(value[0])
-        if kind is list:
-            text = _number_matrix(value)
-        elif kind is dict:
+        if kind is dict:
             text = _flat_records(value)
+        elif kind is list:
+            rows = []
+            for row in value:
+                texts = _scalars(row)
+                if texts is None:
+                    break
+                rows.append("[\n      " + ",\n      ".join(texts) + "\n    ]")
+            text = ",\n    ".join(rows) if len(rows) == len(value) else None
         else:
-            text = _number_items(value, "    ")
+            texts = _scalars(value)
+            text = None if texts is None else ",\n    ".join(texts)
         if text is not None:
             return "[\n    " + text + "\n  ]"
     # Strings are escaped, so every newline here is structural.
     return json.dumps(value, indent=2).replace("\n", "\n  ")
 
 
+# The Python types json renders as a JSON number; bool is not one.
 _NUMBER_TYPES = frozenset((int, float))
 
 
-def _number_items(items, pad):
-    """The items of a non-empty list of exact ints and finite floats, one per
-    line at indent ``pad``; None for any other list."""
-    if not items or not _NUMBER_TYPES.issuperset(map(type, items)):
+def _scalars(values):
+    """The JSON texts of the items of a non-empty list of strings, or of exact
+    ints and finite floats, in order; None for any other value."""
+    if type(values) is not list or not values:
         return None
-    text = (",\n" + pad).join(map(repr, items))
-    # Only a non-finite float's repr ("nan", "inf") holds an "n"; json spells
-    # those NaN and Infinity.
-    return None if "n" in text else text
-
-
-def _number_matrix(rows):
-    """The rows of a list of number lists (see :func:`_number_items`), one
-    item per line; None for any other list."""
-    texts = []
-    for row in rows:
-        text = _number_items(row, "      ") if type(row) is list else None
-        if text is None:
-            return None
-        texts.append("[\n      " + text + "\n    ]")
-    return ",\n    ".join(texts)
+    kinds = set(map(type, values))
+    if kinds <= _NUMBER_TYPES:
+        if float not in kinds:
+            return map(repr, values)
+        texts = list(map(repr, values))
+        # Only a non-finite float's repr ("nan", "inf") holds an "n"; json
+        # spells those NaN and Infinity.
+        return None if "n" in "".join(texts) else texts
+    if kinds == {str}:
+        encoded = {value: encode_basestring_ascii(value) for value in set(values)}
+        return map(encoded.__getitem__, values)
+    return None
 
 
 def _flat_records(records):
-    """The records of a list of dicts with one key order, each field holding a
-    string in every record or an exact int in every record, rendered by one
-    template; None for any other list."""
+    """The records of a list of dicts with one key order, each field's values
+    rendered by :func:`_scalars`, by one template; None for any other list."""
     keys = tuple(records[0])
     if (
         not keys
@@ -193,15 +197,10 @@ def _flat_records(records):
         return None
     columns = []
     for key in keys:
-        column = list(map(itemgetter(key), records))
-        kinds = set(map(type, column))
-        if kinds == {str}:
-            encoded = {value: encode_basestring_ascii(value) for value in set(column)}
-            columns.append(map(encoded.__getitem__, column))
-        elif kinds == {int}:
-            columns.append(map(int.__repr__, column))
-        else:
+        column = _scalars(list(map(itemgetter(key), records)))
+        if column is None:
             return None
+        columns.append(column)
     fields = ",\n      ".join(
         encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys
     )
@@ -289,30 +288,28 @@ def _json_matrices(data, fields):
     ``fields``, a matrix of the JSON integers 0 and 1 in any whitespace
     layout, as an int8 matrix; None for any other file.
 
-    Each field's key occurs once, followed by ":" and a block that runs to
-    the next '"' or "}": with its whitespace removed, J rows on the template
-    ``[d,...,d]``. The rest of the document goes to ``json`` with ``NaN`` in
-    place of each block, and must keep exactly those ``NaN`` as the fields'
-    values: a duplicate, escaped or nested key, or a ``NaN`` of the file's
-    own, declines the file.
+    The first occurrence of each field's key is followed by ":" and a block
+    that ends at the last "]" before the next '"': with its whitespace
+    removed, J rows on the template ``[d,...,d]``. The rest of the document
+    goes to ``json`` with ``NaN`` in place of each block, and must keep
+    exactly those ``NaN`` as the fields' values: a duplicate, escaped or
+    nested key, or a ``NaN`` of the file's own, declines the file.
     """
     blocks = []
     for field in fields:
         tag = b'"' + field.encode() + b'"'
         at = data.find(tag)
-        if at < 0 or data.find(tag, at + 1) >= 0:
+        if at < 0:
             return None
         at += len(tag)
         colon = data.find(b":", at)
         if colon < 0 or data[at:colon].strip(_JSON_SPACE):
             return None
         quote = data.find(b'"', colon)
-        end = quote if quote >= 0 else len(data)
-        brace = data.find(b"}", colon, end)
-        end = brace if brace >= 0 else end
+        stop = data.rfind(b"]", colon, quote if quote >= 0 else len(data)) + 1
         # "[" + J rows "[d,...,d]" joined by "," + "]": J times the row
         # template "[d,...,d]," once the outer brackets are swapped for a comma.
-        block = data[colon + 1:end].translate(None, _JSON_SPACE).removesuffix(b",")
+        block = data[colon + 1:stop].translate(None, _JSON_SPACE)
         k = (block.find(b"]") - 1) // 2
         if block[:1] + block[-1:] != b"[]" or k < 1:
             return None
@@ -320,7 +317,7 @@ def _json_matrices(data, fields):
         matrix = _template_digits([memoryview(block)[1:-1], b","], template)
         if matrix is None:
             return None
-        blocks.append((colon + 1, data.rfind(b"]", colon, end) + 1, field, matrix))
+        blocks.append((colon + 1, stop, field, matrix))
     pieces, at = [], 0
     for start, stop, _, _ in sorted(blocks):
         pieces += [data[at:start], b"NaN"]
@@ -389,7 +386,7 @@ def aggregation_to_csv(rows):
 
 
 # The Python types json gives each kind of JSON value; bool is neither.
-_JSON_TYPES = {"number": frozenset((int, float)), "integer": frozenset((int,))}
+_JSON_TYPES = {"number": _NUMBER_TYPES, "integer": frozenset((int,))}
 
 
 def _check_matrix(rows, field, kind):

@@ -69,20 +69,25 @@ class GenerativeConfig:
     base_error: float = 0.0
     level_spread: float = 0.0
     interaction_spread: float = 0.0
-    bias_shift: tuple = 0.0  # scalar or per-cited-paper sequence
+    bias_shift: tuple = 0.0  # scalar or per-cited-paper tuple
     replicates: int = 1
 
     def __post_init__(self):
-        if isinstance(self.bias_shift, list):  # e.g. from a JSON config
-            object.__setattr__(self, "bias_shift", tuple(self.bias_shift))
+        shift = self.bias_shift
+        # A list (e.g. from a JSON config), tuple or 1-D array is stored as a
+        # tuple; anything else is a scalar.
+        if isinstance(shift, (list, tuple)) or (
+            isinstance(shift, np.ndarray) and shift.ndim == 1
+        ):
+            shift = tuple(shift)
+            object.__setattr__(self, "bias_shift", shift)
         for name in _INT_FIELDS:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise InvalidConfig(f"{name} must be an integer, got {value!r}")
         for name in _REAL_FIELDS:
             _check_finite(name, getattr(self, name))
-        shift = self.bias_shift
-        for value in shift if isinstance(shift, (tuple, list, np.ndarray)) else [shift]:
+        for value in shift if type(shift) is tuple else [shift]:
             _check_finite("bias_shift", value)
         if self.seed < 0:
             raise InvalidConfig("seed must be nonnegative")
@@ -104,16 +109,16 @@ class GenerativeConfig:
                 raise InvalidConfig(f"{name} must be at most {_MAX_SPREAD!r}")
         if self.replicates < 1:
             raise InvalidConfig("replicates must be >= 1")
-        if not np.isscalar(shift) and len(self.bias_offsets()) != self.n_cited:
+        if type(shift) is tuple and len(shift) != self.n_cited:
             raise InvalidConfig(
                 f"bias_shift must be scalar or length {self.n_cited}"
             )
 
     def bias_offsets(self):
         b = self.bias_shift
-        if np.isscalar(b):
-            return np.full(self.n_cited, float(b))
-        return np.asarray(b, dtype=float)
+        if type(b) is tuple:
+            return np.array(b, dtype=float)
+        return np.full(self.n_cited, float(b))
 
     @property
     def n_citing(self):

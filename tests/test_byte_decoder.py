@@ -144,3 +144,17 @@ def test_byte_path_accepts_what_citenoise_and_json_write(tmp_path, seed):
         decoded = cio._csv_matrix(path.read_bytes())
         assert decoded is not None
         assert np.array_equal(decoded[2], matrix) and decoded[2].dtype == np.int8
+
+
+def test_matrices_before_an_id_that_spells_their_key():
+    """A compact document whose matrices come first and whose ids include
+    "realized" and "accurate": the key is the first occurrence of its tag, and
+    the byte path decodes it as the per-cell decoder does."""
+    system = build_system(["realized", "b"], [("accurate", 0), ("q", 1)], ["c", "realized"],
+                          [[0, 1], [1, 0]], [[1, 1], [0, 1]])
+    doc = cio.system_to_document(system)
+    text = json.dumps({"realized": None, "accurate": None, **doc}).encode()
+    assert text.startswith(b'{"realized": [[')
+    decoded = cio._json_matrices(text, ("realized", "accurate"))
+    assert decoded is not None and cio.system_from_document(decoded) == system
+    assert_same_outcome({"system.json": text}, cio.load_system)

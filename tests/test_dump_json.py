@@ -1,9 +1,11 @@
 """``io.dump_json`` writes exactly ``json.dumps(doc, indent=2) + "\\n"``.
 
-The renderer takes templates for number matrices and vectors and for lists of
-flat records, and falls back to ``json.dumps`` for any other value; these
-tests compare it with ``json.dumps`` on generated documents, one example per
-fallback shape, and on every JSON output the CLI writes.
+The renderer takes templates for non-empty lists of scalars, of scalar lists
+and of flat records, where one rule says which lists render: all strings, or
+all exact ints and finite floats. Any other value falls back to
+``json.dumps``. These tests compare the renderer with ``json.dumps`` on
+generated documents, one example per fallback shape, and on every JSON
+output the CLI writes.
 """
 
 import json
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from citenoise import analyze, builtin_fixture
 from citenoise import io as cio
 from citenoise.cli import run_cli
 from citenoise.fixtures import fixture_names
@@ -22,17 +25,21 @@ finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [-0.0, 5e-324, 1e300, -1e-300]
 )
 numbers = st.integers() | finite
-# Values json renders that no number template takes.
+# Values json renders that no template takes in a list of numbers.
 odd = st.sampled_from(
     [True, False, None, math.nan, math.inf, -math.inf, np.float64(0.5), "1", [1], {"x": 1}]
 )
+ids = st.text(max_size=3) | st.sampled_from(['"', "\\", "\n", "\x00\x1f", "é", " ", "😀"])
 # Half of each kind's lists are what a template takes; the rest may be empty
 # or hold anything.
-vectors = st.lists(numbers, min_size=1, max_size=4) | st.lists(numbers | odd, max_size=4)
+vectors = (
+    st.lists(numbers, min_size=1, max_size=4)
+    | st.lists(ids, min_size=1, max_size=4)
+    | st.lists(numbers | odd, max_size=4)
+)
 matrices = st.lists(st.lists(numbers, min_size=1, max_size=4), min_size=1, max_size=3) | (
     st.lists(vectors, max_size=3)
 )
-ids = st.text(max_size=3) | st.sampled_from(['"', "\\", "\n", "\x00\x1f", "é", " ", "😀"])
 KEYS = ["id", "flag", 'q"', "%s", "é", 1]
 
 
@@ -41,7 +48,10 @@ def record_lists(draw):
     """Records with one key order and one kind per field, then at most one
     record perturbed: keys reordered or missing, or one field of another kind."""
     keys = draw(st.lists(st.sampled_from(KEYS), unique=True, min_size=1, max_size=3))
-    kinds = [draw(st.sampled_from([ids, st.integers(), ids | numbers | odd])) for _ in keys]
+    kinds = [
+        draw(st.sampled_from([ids, st.integers(), finite, numbers, ids | numbers | odd]))
+        for _ in keys
+    ]
     records = [
         {key: draw(kind) for key, kind in zip(keys, kinds)}
         for _ in range(draw(st.integers(1, 4)))
@@ -84,6 +94,8 @@ documents = st.one_of(
 @example({"missing-key": [{"a": "x", "b": 1}, {"a": "y"}]})
 @example({"empty-record": [{}, {}]})
 @example({"float-field": [{"a": 0.5}], "none-field": [{"a": None}]})
+@example({"nan-field": [{"a": 0.5}, {"a": math.nan}], "inf-row": [[0.5, 1.0], [math.inf, 2.0]]})
+@example({"str-then-bool": ["a", True]})
 @example({"mixed-field": [{"a": "x"}, {"a": 1}], "bool-field": [{"a": True}]})
 @example({"nested-field": [{"a": [1]}], "non-str-field-key": [{1: "x"}]})
 @example({1: [1, 2], "scalars": None, "s": "line\nbreak", "b": False})
@@ -96,19 +108,29 @@ def test_dump_json_is_json_dumps_indent_2(doc):
 
 
 def test_templates_render_the_large_kinds():
-    """Escaped and non-ASCII ids, and float edge values, through the templates."""
+    """Escaped and non-ASCII ids, float edge values and the record lists of
+    the analyze report, through the templates."""
+    system = builtin_fixture("table1")
+    report = cio.report_to_document(analyze(system), system)
     doc = {
         "schema_version": "1",
         "flags": [{"citing": 'p"\\', "earlier": "é\n", "flag": 1},
                   {"citing": "p%s", "earlier": "😀", "flag": 0}],
         "matrix": [[0, 1], [-0.0, 5e-324]],
         "vector": [1e300, -3, 0.1],
+        "strings": ['p"\\', "é\n", "😀", "p%s", "é\n"],
         "percent-keys": [{"%s": 1, "%d%%": "x"}],
+        "float-field": [{"id": "a", "pr": 0.5}, {"id": "b", "pr": -0.0}],
+        "mixed-field": [{"n": 1}, {"n": 2.5}, {"n": -3}],
+        "citing_papers": report["citing_papers"],
+        "cited_papers": report["cited_papers"],
     }
-    assert cio._flat_records(doc["flags"]) is not None
-    assert cio._flat_records(doc["percent-keys"]) is not None
-    assert cio._number_matrix(doc["matrix"]) is not None
-    assert cio._number_items(doc["vector"], "    ") is not None
+    for key in ("flags", "percent-keys", "float-field", "mixed-field", "citing_papers",
+                "cited_papers"):
+        assert cio._flat_records(doc[key]) is not None, key
+    assert all(cio._scalars(row) is not None for row in doc["matrix"])
+    assert cio._scalars(doc["vector"]) is not None
+    assert cio._scalars(doc["strings"]) is not None
     assert cio.dump_json(doc) == json.dumps(doc, indent=2) + "\n"
 
 

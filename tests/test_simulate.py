@@ -78,6 +78,7 @@ class TestConfigValidation:
             ("bias_shift", ("x", 0.1)),
             ("level_spread", 1e308),
             ("interaction_spread", 1e308),
+            ("bias_shift", np.array(0.1)),
         ],
     )
     def test_rejects_wrong_types_and_non_finite(self, field, value):
@@ -95,7 +96,10 @@ class TestConfigValidation:
             GenerativeConfig(seed=1, **kw)
 
     def test_bias_list_is_stored_as_tuple(self):
-        assert cfg(n_cited=2, bias_shift=[0.1, 0.2]).bias_shift == (0.1, 0.2)
+        for shift in ([0.1, 0.2], np.array([0.1, 0.2])):
+            config = cfg(n_cited=2, bias_shift=shift)
+            assert type(config.bias_shift) is tuple and config.bias_shift == (0.1, 0.2)
+            assert hash(config) == hash(cfg(n_cited=2, bias_shift=(0.1, 0.2)))
 
     def test_accepts_ints_for_floats_and_numpy_scalars(self):
         cfg(n_authors=np.int64(2), base_error=0, level_spread=np.float64(0.1))
