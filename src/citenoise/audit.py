@@ -6,10 +6,11 @@ similarity matrix is a precomputed input), and the citation justification
 table, a per-citation ledger in a pipe-delimited text format.
 """
 
+import math
 import numbers
+import operator
 import warnings
 from dataclasses import dataclass, field
-from itertools import compress, repeat
 
 import numpy as np
 
@@ -39,8 +40,8 @@ def _is_real(x):
 
 
 def build_similarity(paper_ids, timestamps, scores):
-    """Validated similarity matrix. Ids are strings and timestamps all real
-    numbers (not NaN) or all strings, so (timestamp, id) orders papers strictly."""
+    """Validated similarity matrix. Ids are strings and timestamps all finite
+    real numbers or all strings, so (timestamp, id) orders papers strictly."""
     paper_ids = tuple(paper_ids)
     timestamps = tuple(timestamps)
     s = np.array(scores, dtype=float)  # a copy, made read-only below
@@ -50,6 +51,8 @@ def build_similarity(paper_ids, timestamps, scores):
     str_stamps = all(isinstance(t, str) for t in timestamps)
     if not (str_stamps or all(map(_is_real, timestamps))):
         raise ParseError("timestamps must be all real numbers or all strings")
+    if not str_stamps and math.inf in map(abs, timestamps):
+        raise ParseError("timestamps must be finite")
     if len(timestamps) != n:
         raise DimensionMismatch("one timestamp per paper id required")
     if s.shape != (n, n):
@@ -67,14 +70,26 @@ def build_similarity(paper_ids, timestamps, scores):
     return SimilarityMatrix(paper_ids, timestamps, s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OmissionFlags:
-    """flag[(citing_id, earlier_id)] = 1 iff the earlier paper is in the
-    citing paper's most-similar set but was not cited. Defined for every
-    ordered pair where the second paper precedes the first, in the order
-    (citing id, earlier id)."""
+    """One record per ordered pair of papers where the earlier paper precedes
+    the citing one, in (citing id, earlier id) order: ``citing[i]`` and
+    ``earlier[i]`` index ``paper_ids``, and ``flag[i]`` is 1 iff the earlier
+    paper is in the citing paper's most-similar set but was not cited. The
+    three arrays are read-only. Results compare by identity (eq=False): an
+    array has no single truth value for ``==``."""
 
-    flags: dict
+    paper_ids: tuple
+    citing: np.ndarray
+    earlier: np.ndarray
+    flag: np.ndarray
+
+    @property
+    def flags(self):
+        """{(citing id, earlier id): flag}, in record order."""
+        ids = self.paper_ids.__getitem__
+        pairs = zip(map(ids, self.citing.tolist()), map(ids, self.earlier.tolist()))
+        return dict(zip(pairs, self.flag.tolist()))
 
     def flagged_pairs(self):
         return [pair for pair, v in self.flags.items() if v == 1]
@@ -87,8 +102,15 @@ def omission_indicator(sim, citations, k):
     citations[j][p] = 1 iff paper j cites paper p. Ties in the
     most-similar set break by higher similarity, then earlier timestamp,
     then input order. If k exceeds the number of predecessors, all
-    predecessors are used and a warning is emitted.
+    predecessors are used and a warning is emitted. ``k`` is any integer
+    (a numpy one too) but a bool.
     """
+    try:
+        if isinstance(k, bool):
+            raise TypeError
+        k = operator.index(k)  # numpy's bool has no __index__
+    except TypeError:
+        raise ValueError(f"k must be an integer, got {k!r}") from None
     if k < 1:
         raise ValueError("k must be >= 1")
     c = _as_binary_matrix(citations, "citations")
@@ -96,9 +118,7 @@ def omission_indicator(sim, citations, k):
     if c.shape != (n, n):
         raise DimensionMismatch(f"citations {c.shape} vs {n} papers")
 
-    flags = {}
     by_id = np.array(sorted(range(n), key=sim.paper_ids.__getitem__), dtype=np.int64)
-    ids = sorted(sim.paper_ids)
     # Publication order: timestamp, ties broken by id (the sort is stable).
     position = np.empty(n, dtype=np.int64)
     position[sorted(by_id, key=sim.timestamps.__getitem__)] = np.arange(n)
@@ -107,24 +127,31 @@ def omission_indicator(sim, citations, k):
     stamp_rank = {t: r for r, t in enumerate(sorted(set(sim.timestamps)))}
     rank = np.array([stamp_rank[t] for t in sim.timestamps], dtype=np.int64)
     position_by_id = position[by_id]
-    for j, citing in zip(by_id, ids):
-        precedes = position_by_id < position[j]
-        earlier = by_id[precedes]
+    earlier_parts, flag_parts = [], []
+    for j in by_id.tolist():
+        # The predecessors of j, in id order.
+        earlier = by_id[position_by_id < position[j]]
         if 0 < len(earlier) < k:  # the first paper has no predecessors
             warnings.warn(
-                f"k={k} exceeds {len(earlier)} predecessors of {citing!r}; "
+                f"k={k} exceeds {len(earlier)} predecessors of {sim.paper_ids[j]!r}; "
                 "using all of them",
                 stacklevel=2,
             )
         # Most similar first; ties go to the earlier timestamp, then input order.
-        top = earlier[np.lexsort((earlier, rank[earlier], -sim.scores[j, earlier]))[:k]]
-        flag = np.zeros(n, dtype=np.int8)
-        flag[top] = c[j, top] == 0
-        flags.update(
-            zip(zip(repeat(citing), compress(ids, precedes.tolist())),
-                flag[earlier].tolist())
-        )
-    return OmissionFlags(flags)
+        top = np.lexsort((earlier, rank[earlier], -sim.scores[j, earlier]))[:k]
+        flag = np.zeros(len(earlier), dtype=np.int8)
+        flag[top] = c[j, earlier[top]] == 0
+        earlier_parts.append(earlier)
+        flag_parts.append(flag)
+    # An empty first part gives each joined array its dtype when n is 0.
+    arrays = (
+        np.repeat(by_id, [len(part) for part in earlier_parts]),
+        np.concatenate([by_id[:0], *earlier_parts]),
+        np.concatenate([np.zeros(0, dtype=np.int8), *flag_parts]),
+    )
+    for a in arrays:
+        a.setflags(write=False)
+    return OmissionFlags(sim.paper_ids, *arrays)
 
 
 @dataclass(frozen=True)

@@ -99,7 +99,7 @@ def _cmd_omissions(args):
     sim, cites = cio.load_omission_inputs(args.sim, args.citations)
     with cio._naming(args.citations):  # the indicator checks the citation matrix
         flags = omission_indicator(sim, cites, args.k)
-    return cio.dump_json(cio.omissions_to_document(flags, args.k))
+    return cio.dump_omissions(flags, args.k)
 
 
 def _cmd_fixtures(args):

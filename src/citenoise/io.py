@@ -3,7 +3,9 @@
 Every input file is read and every output written here: each input is
 opened once, by :func:`_read`, and text goes out through :func:`write_text`.
 JSON outputs are rendered by :func:`dump_json`, whose text is exactly
-``json.dumps(doc, indent=2) + "\\n"`` for every JSON-able document.
+``json.dumps(doc, indent=2) + "\\n"`` for every JSON-able document, except
+the ``omissions`` document, which :func:`dump_omissions` renders with the
+same bytes straight from the flag arrays, with no per-record dict.
 Errors found while an input is loaded name the file: each file is decoded
 as UTF-8, whole, and checked inside :func:`_naming`, which also names the
 file in an error raised by the checks in other modules. Two on-disk system
@@ -429,16 +431,27 @@ def load_omission_inputs(sim_path, cites_path):
         return sim, _binary_cells(cite_doc, "cites")
 
 
-def omissions_to_document(flags, k):
-    """Every ordered pair's flag, in the order of ``flags``."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "k": k,
-        "flags": [
-            {"citing": citing, "earlier": earlier, "flag": v}
-            for (citing, earlier), v in flags.flags.items()
-        ],
-    }
+def dump_omissions(flags, k):
+    """The ``omissions`` document of :class:`~citenoise.audit.OmissionFlags`
+    as :func:`dump_json` renders it: ``schema_version``, ``k``, then one
+    ``{"citing", "earlier", "flag"}`` record per pair, in the order of the
+    arrays. Each paper id is escaped once, into a record head and a middle
+    piece, and each record is head + middle + one of two tails."""
+    ids = [encode_basestring_ascii(pid) for pid in flags.paper_ids]
+    heads = [f'{{\n      "citing": {pid},\n      "earlier": ' for pid in ids]
+    middles = [f'{pid},\n      "flag": ' for pid in ids]
+    tails = ("0\n    }", "1\n    }")
+    records = ",\n    ".join(
+        [
+            heads[c] + middles[e] + tails[f]
+            for c, e, f in zip(flags.citing.tolist(), flags.earlier.tolist(), flags.flag.tolist())
+        ]
+    )
+    body = "[\n    " + records + "\n  ]" if records else "[]"
+    return (
+        f'{{\n  "schema_version": {encode_basestring_ascii(SCHEMA_VERSION)},\n'
+        f'  "k": {json.dumps(k)},\n  "flags": {body}\n}}\n'
+    )
 
 
 def _read_keys(path):

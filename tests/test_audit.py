@@ -144,6 +144,54 @@ class TestOmissionIndicator:
             pairs = flags.flagged_pairs()
             assert pairs and pairs == sorted(pairs)
 
+    @pytest.mark.parametrize(
+        "k", [True, False, 2.5, 2.0, float("nan"), "2", None, np.bool_(True), 0, np.int64(0)]
+    )
+    def test_k_must_be_an_integer_from_1(self, k):
+        sim = build_similarity(["a", "b"], [0, 1], [[0, 0.5], [0.5, 0]])
+        with pytest.raises(ValueError, match="k must be"):
+            omission_indicator(sim, [[0, 0], [0, 0]], k)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_numpy_integer_k_accepted(self, rng):
+        sim = random_similarity(rng, 10)
+        cites = rng.integers(0, 2, (10, 10))
+        for k in (np.int64(3), np.int8(3), np.uint16(3)):
+            assert omission_indicator(sim, cites, k).flags == brute_force_flags(sim, cites, 3)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_flag_arrays_invariant(self, rng):
+        """Equal-length read-only int arrays indexing paper_ids, each ordered
+        pair of (later, earlier) paper once, in (citing id, earlier id) order;
+        .flags and flagged_pairs() are views of the arrays."""
+        tied = build_similarity(["c", "a", "b"], [1, 1, 0], np.full((3, 3), 0.5))
+        for sim in (tied, random_similarity(rng, 12), build_similarity([], [], np.zeros((0, 0)))):
+            n = len(sim.paper_ids)
+            result = omission_indicator(sim, rng.integers(0, 2, (n, n)), 3)
+            arrays = (result.citing, result.earlier, result.flag)
+            assert result.paper_ids == sim.paper_ids
+            assert len({len(a) for a in arrays}) == 1
+            for a in arrays:
+                assert a.dtype.kind == "i"
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[:1] = 0
+            assert set(result.flag.tolist()) <= {0, 1}
+            assert ((0 <= result.citing) & (result.citing < n)).all()
+            assert ((0 <= result.earlier) & (result.earlier < n)).all()
+            ids = sim.paper_ids
+            pairs = [(ids[c], ids[e]) for c, e in zip(result.citing.tolist(),
+                                                      result.earlier.tolist())]
+            assert pairs == sorted(set(pairs))
+            order = {p: (sim.timestamps[i], p) for i, p in enumerate(ids)}
+            assert pairs == sorted((a, b) for a in ids for b in ids if order[b] < order[a])
+            flags = dict(zip(pairs, result.flag.tolist()))
+            assert result.flags == flags
+            assert list(result.flags) == pairs
+            assert result.flagged_pairs() == [p for p, v in flags.items() if v == 1]
+            assert result == result
+            assert result != omission_indicator(sim, np.zeros((n, n), dtype=int), 3)
+
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_monotone_in_k(self, rng):
         sim = random_similarity(rng, 12)

@@ -5,7 +5,9 @@ and of flat records, where one rule says which lists render: all strings, or
 all exact ints and finite floats. Any other value falls back to
 ``json.dumps``. These tests compare the renderer with ``json.dumps`` on
 generated documents, one example per fallback shape, and on every JSON
-output the CLI writes.
+output the CLI writes. ``io.dump_omissions`` renders the ``omissions``
+document from the flag arrays, and is compared with ``json.dumps`` of the
+document built from the same flags.
 """
 
 import json
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from citenoise import analyze, builtin_fixture
+from citenoise import analyze, build_similarity, builtin_fixture, omission_indicator
 from citenoise import io as cio
 from citenoise.cli import run_cli
 from citenoise.fixtures import fixture_names
@@ -185,3 +187,52 @@ def test_cli_writes_json_dumps_indent_2(tmp_path):
         for path in paths:
             text = path.read_text(encoding="utf-8")
             assert text == json.dumps(json.loads(text), indent=2) + "\n", path.name
+
+
+# Paper ids that need escapes, non-ASCII ids, and ids whose sorted order is
+# not the order drawn.
+paper_ids = st.lists(
+    st.text(max_size=3) | st.sampled_from(['"', "\\", "\n", "\x00\x1f", "é", "😀", "b", "a"]),
+    unique=True,
+    max_size=6,
+)
+
+
+@st.composite
+def omission_inputs(draw):
+    """(similarity, citations, k): timestamps from a small range, so ties
+    occur, and k up to beyond 2**63."""
+    ids = draw(paper_ids)
+    n = len(ids)
+    stamps = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    raw = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=n * n,
+                                 max_size=n * n))).reshape(n, n)
+    cites = draw(st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n))
+    k = draw(st.integers(1, 4) | st.integers(2**63, 2**65))
+    sim = build_similarity(ids, stamps, np.maximum(raw, raw.T))
+    return sim, np.array(cites, dtype=np.int8).reshape(n, n), k
+
+
+def _omission_example(ids, stamps, k):
+    n = len(ids)
+    sim = build_similarity(ids, stamps, np.full((n, n), 0.5))
+    return sim, np.zeros((n, n), dtype=np.int8), k
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@given(omission_inputs())
+@example(_omission_example([], [], 1))
+@example(_omission_example(["é"], [0], 2**63))
+@example(_omission_example(['z"', "\\", "é\n", "a\x00"], [1, 0, 1, 0], 2))
+def test_dump_omissions_is_json_dumps_of_the_flags_document(inputs):
+    sim, cites, k = inputs
+    flags = omission_indicator(sim, cites, k)
+    doc = {
+        "schema_version": "1",
+        "k": k,
+        "flags": [
+            {"citing": citing, "earlier": earlier, "flag": v}
+            for (citing, earlier), v in flags.flags.items()
+        ],
+    }
+    assert cio.dump_omissions(flags, k) == json.dumps(doc, indent=2) + "\n"

@@ -705,6 +705,18 @@ class TestOmissionInputs:
         assert "Traceback" not in err
         assert "error:" in err
 
+    @pytest.mark.parametrize("stamp", ["1e400", "-Infinity"])
+    def test_non_finite_timestamp_exit_1_naming_file(self, tmp_path, capsys, stamp):
+        sim, cites = write_omission_docs(tmp_path, ORDERED, SCORES)
+        sim.write_text(
+            '{"papers": [{"id": "a", "timestamp": 0}, {"id": "b", "timestamp": %s}], '
+            '"scores": [[0, 0.5], [0.5, 0]]}' % stamp
+        )
+        code, err = self.run(capsys, sim, cites)
+        assert code == 1
+        assert "Traceback" not in err
+        assert f"error: {sim}: timestamps must be finite" in err
+
     @pytest.mark.parametrize(
         "scores",
         [[[0, "0.5"], ["0.5", 0]], [[" 0 ", "0"], ["0", " 0 "]],
