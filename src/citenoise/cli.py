@@ -21,7 +21,7 @@ from .simulate import (
     aggregation_curve,
     decompose_pattern_noise,
     generate_system,
-    replicate_decisions,
+    iter_replicates,
 )
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(GenerativeConfig)}
@@ -72,8 +72,7 @@ def _cmd_simulate(args):
 
 def _cmd_retest(args):
     config = _load_config(args.config, args.seed)
-    realized, latent = replicate_decisions(config)
-    stable, occasion = decompose_pattern_noise(realized, latent)
+    stable, occasion = decompose_pattern_noise(*iter_replicates(config))
     return cio.dump_json(cio.retest_to_document(config.replicates, stable, occasion))
 
 

@@ -2,10 +2,13 @@
 
 Every input file is read and every output written here: each input is
 opened once, by :func:`_read`, and text goes out through :func:`write_text`.
-JSON outputs are rendered by :func:`dump_json`, whose text is exactly
-``json.dumps(doc, indent=2) + "\\n"`` for every JSON-able document, except
-the ``omissions`` document, which :func:`dump_omissions` renders with the
-same bytes straight from the flag arrays, with no per-record dict.
+A document may hold numpy arrays: the system and latent-truth documents keep
+their matrices and vectors as they are. JSON outputs are rendered by
+:func:`dump_json`, whose text is exactly ``json.dumps(doc, indent=2) + "\\n"``
+of the document with every array in it as its ``.tolist()``, for every
+JSON-able document, except the ``omissions`` document, which
+:func:`dump_omissions` renders with the same bytes straight from the flag
+arrays, with no per-record dict.
 Errors found while an input is loaded name the file: each file is decoded
 as UTF-8, whole, and checked inside :func:`_naming`, which also names the
 file in an error raised by the checks in other modules. Two on-disk system
@@ -25,7 +28,10 @@ declines, and the same bytes are decoded again from the start by the
 per-cell decoder (``json`` then :func:`_binary_cells`, or the ``csv`` reader
 of :func:`_read_matrix_csv`). That decoder is the only judge of a bad file,
 so every error type, message, offset and line number is its own, and a file
-both accept gives the same ids, owners and int8 matrices.
+both accept gives the same ids, owners and int8 matrices. The writer is the
+byte path's inverse: :func:`dump_json` renders an int8 0/1 matrix by adding
+its bytes to the digits of the indented form of the same row template,
+:func:`_row_template`.
 """
 
 import contextlib
@@ -43,7 +49,7 @@ import numpy as np
 
 from .audit import build_similarity, parse_justification_table
 from .errors import CitenoiseError, ParseError, SchemaVersionUnsupported
-from .model import build_system
+from .model import _binary_int8, build_system
 
 SCHEMA_VERSION = "1"
 _PRINTED = Decimal("0.01")  # the tables print two decimals
@@ -66,8 +72,8 @@ def system_to_document(system):
             for pid, ai in system.citing_papers
         ],
         "cited_paper_ids": list(system.cited_paper_ids),
-        "realized": system.realized.tolist(),
-        "accurate": system.accurate.tolist(),
+        "realized": system.realized,
+        "accurate": system.accurate,
     }
 
 
@@ -121,17 +127,20 @@ def system_from_document(doc):
 
 
 def dump_json(doc):
-    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte, for every JSON-able
-    document: fixed key order, LF, trailing newline.
+    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte, of ``doc`` with
+    every ndarray in it as its ``.tolist()``, for every JSON-able document:
+    fixed key order, LF, trailing newline.
 
     ``json.dumps`` with an indent runs the pure-Python encoder, so each
     top-level value of a dict document is rendered on its own. A non-empty
-    list of scalars, of scalar lists or of flat records takes a template,
-    where :func:`_scalars` renders each list, row or field; any other value
-    goes to ``json.dumps``.
+    2-D int8 array of 0s and 1s is rendered from its bytes by
+    :func:`_binary_matrix`; any other array goes on as its ``.tolist()``. A
+    non-empty list of scalars, of scalar lists or of flat records takes a
+    template, where :func:`_scalars` renders each list, row or field; any
+    other value goes to ``json.dumps``.
     """
     if type(doc) is not dict or not doc or not all(type(key) is str for key in doc):
-        return json.dumps(doc, indent=2) + "\n"
+        return _dumps(doc) + "\n"
     items = ",\n  ".join(
         f"{encode_basestring_ascii(key)}: {_render_value(value)}"
         for key, value in doc.items()
@@ -139,9 +148,24 @@ def dump_json(doc):
     return "{\n  " + items + "\n}\n"
 
 
+def _dumps(value):
+    """``json.dumps(value, indent=2)`` with every ndarray as its ``.tolist()``."""
+    return json.dumps(value, indent=2, default=_tolist)
+
+
+def _tolist(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _render_value(value):
     """A top-level value of a document, rendered as ``json.dumps(indent=2)``
     renders it one level deep."""
+    if type(value) is np.ndarray:
+        if value.ndim == 2 and value.size and value.dtype == np.int8 and _binary_int8(value):
+            return _binary_matrix(value)
+        value = value.tolist()
     if type(value) is list and value:
         kind = type(value[0])
         if kind is dict:
@@ -160,7 +184,42 @@ def _render_value(value):
         if text is not None:
             return "[\n    " + text + "\n  ]"
     # Strings are escaped, so every newline here is structural.
-    return json.dumps(value, indent=2).replace("\n", "\n  ")
+    return _dumps(value).replace("\n", "\n  ")
+
+
+# How json.dumps(indent=2) indents a top-level matrix: its rows and closing
+# bracket by 4 spaces, their cells by 6.
+_ROW_INDENT = b"\n    "
+_CELL_INDENT = b"\n      "
+
+
+def _row_template(k, cell_indent=b"", row_indent=b""):
+    """A JSON row of K cells, all "0", between the separators around it:
+    ``[0,...,0],``, or, indented, ``row_indent`` before the row and before
+    its closing bracket, ``cell_indent`` before each cell. Cell i is the byte
+    at offset ``len(row_indent) + (i + 1) * step - 1``, where
+    ``step = len(cell_indent) + 2``."""
+    cells = b",".join([cell_indent + b"0"] * k)
+    return row_indent + b"[" + cells + row_indent + b"],"
+
+
+def _binary_matrix(matrix):
+    """The non-empty int8 0/1 matrix ``matrix`` as a top-level value of
+    :func:`dump_json`: "[", J copies of the indented row template, each
+    cell's byte added to its "0", the last "," swapped for the closing
+    bracket, decoded once."""
+    j, k = matrix.shape
+    template = np.frombuffer(_row_template(k, _CELL_INDENT, _ROW_INDENT), np.uint8)
+    width = len(template)
+    text = np.empty(j * width + 4, np.uint8)  # the last "," becomes "\n  ]"
+    text[0] = ord("[")
+    rows = text[1 : 1 + j * width].reshape(j, width)
+    rows[:] = template
+    step = len(_CELL_INDENT) + 2
+    first = len(_ROW_INDENT) + step - 1
+    rows[:, first : first + step * k : step] += matrix.view(np.uint8)
+    text[j * width :] = np.frombuffer(b"\n  ]", np.uint8)
+    return str(text, "ascii")
 
 
 # The Python types json renders as a JSON number; bool is not one.
@@ -315,8 +374,7 @@ def _json_matrices(data, fields):
         k = (block.find(b"]") - 1) // 2
         if block[:1] + block[-1:] != b"[]" or k < 1:
             return None
-        template = b"[" + b"0," * (k - 1) + b"0],"
-        matrix = _template_digits([memoryview(block)[1:-1], b","], template)
+        matrix = _template_digits([memoryview(block)[1:-1], b","], _row_template(k))
         if matrix is None:
             return None
         blocks.append((colon + 1, stop, field, matrix))
@@ -364,10 +422,10 @@ def _template_digits(pieces, template):
 
 
 def latent_to_document(latent):
-    """The latent-truth sidecar: every LatentTruth field, in order, as lists."""
+    """The latent-truth sidecar: every LatentTruth field, in order, as its array."""
     doc = {"schema_version": SCHEMA_VERSION}
     for field in dataclasses.fields(latent):
-        doc[field.name] = getattr(latent, field.name).tolist()
+        doc[field.name] = getattr(latent, field.name)
     return doc
 
 

@@ -41,11 +41,22 @@ def classify_decision(r, a):
     return DecisionClass.INCORRECT_NEGATIVE
 
 
+def _binary_int8(arr):
+    """Whether the int8 array ``arr`` holds only 0 and 1, read in place: in
+    its uint8 view a negative cell wraps to 128 or more."""
+    return arr.size == 0 or arr.view(np.uint8).max() <= 1
+
+
 def _as_binary_matrix(rows, name):
+    """``rows`` as a read-only int8 copy, if a 2-D matrix of 0s and 1s."""
     arr = np.asarray(rows)
     if arr.ndim != 2:
         raise DimensionMismatch(f"{name} must be a 2-D matrix, got ndim={arr.ndim}")
-    if arr.size and not np.isin(arr, (0, 1)).all():
+    if arr.dtype == np.int8:
+        binary = _binary_int8(arr)
+    else:
+        binary = not arr.size or np.isin(arr, (0, 1)).all()
+    if not binary:
         bad = np.argwhere(~np.isin(arr, (0, 1)))[0]
         raise NonBinaryEntry(
             f"{name}[{bad[0]}][{bad[1]}] = {arr[bad[0], bad[1]]} is not 0 or 1"

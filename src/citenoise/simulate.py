@@ -188,15 +188,6 @@ def _sample_latent(config, rng_accurate, rng_latent):
     )
 
 
-def _streams(config, n_replicates):
-    children = np.random.SeedSequence(config.seed).spawn(2 + n_replicates)
-    return (
-        np.random.default_rng(children[0]),
-        np.random.default_rng(children[1]),
-        [np.random.default_rng(c) for c in children[2:]],
-    )
-
-
 def _sample_realized(latent, rng):
     flips = rng.random(latent.flip_probs.shape) < latent.flip_probs
     return np.where(flips, 1 - latent.accurate, latent.accurate).astype(np.int8)
@@ -204,9 +195,10 @@ def _sample_realized(latent, rng):
 
 def generate_system(config):
     """Sample one (system, latent truth) pair; deterministic in the seed."""
-    rng_a, rng_l, flip_rngs = _streams(config, 1)
+    children = np.random.SeedSequence(config.seed).spawn(3)
+    rng_a, rng_l, rng_flip = map(np.random.default_rng, children)
     latent = _sample_latent(config, rng_a, rng_l)
-    realized = _sample_realized(latent, flip_rngs[0])
+    realized = _sample_realized(latent, rng_flip)
     system = build_system(
         [f"author-{i + 1}" for i in range(config.n_authors)],
         [(f"paper-{j + 1}", int(a)) for j, a in enumerate(latent.author_of_paper)],
@@ -217,6 +209,23 @@ def generate_system(config):
     return system, latent
 
 
+def iter_replicates(config):
+    """``(realized, latent)`` as :func:`replicate_decisions` returns it, except
+    that ``realized`` is an iterator that draws each of the T matrices as it
+    is consumed, so that no more than one is held and nothing is sized by T.
+    """
+    if config.replicates < 2:
+        raise InvalidConfig("occasion decomposition needs replicates >= 2")
+    parent = np.random.SeedSequence(config.seed)
+    latent = _sample_latent(config, *map(np.random.default_rng, parent.spawn(2)))
+    # One child at a time: the spawn keys (2,), (3,), ... of spawn(2 + T).
+    realized = (
+        _sample_realized(latent, np.random.default_rng(parent.spawn(1)[0]))
+        for _ in range(config.replicates)
+    )
+    return realized, latent
+
+
 def replicate_decisions(config):
     """Sample T realized matrices over one shared latent truth.
 
@@ -224,19 +233,16 @@ def replicate_decisions(config):
     :class:`LatentTruth` they share, which holds the accurate matrix and the
     author labels.
     """
-    if config.replicates < 2:
-        raise InvalidConfig("occasion decomposition needs replicates >= 2")
-    rng_a, rng_l, flip_rngs = _streams(config, config.replicates)
-    latent = _sample_latent(config, rng_a, rng_l)
-    realized = tuple(_sample_realized(latent, rng) for rng in flip_rngs)
-    return realized, latent
+    realized, latent = iter_replicates(config)
+    return tuple(realized), latent
 
 
 def decompose_pattern_noise(realized, latent):
     """Split test-retest pattern variance into stable and occasion parts.
 
-    ``realized`` holds T matrices over the accurate matrix and author labels
-    of ``latent``, as :func:`replicate_decisions` returns them.
+    ``realized`` is any iterable of T matrices over the accurate matrix and
+    author labels of ``latent``, as :func:`replicate_decisions` or
+    :func:`iter_replicates` returns them; each is read once, in turn.
 
     Works at the decision-cell level: for each cell the error indicator is
     observed across T occasions. The occasion component is the mean
@@ -244,16 +250,16 @@ def decompose_pattern_noise(realized, latent):
     the total is the variance of all indicators around their author's
     pooled mean; the stable component is the nonnegative remainder.
     """
-    t = len(realized)
-    if t < 2:
-        raise InsufficientReplicates("need at least 2 occasions")
     # Errors are binary, so each cell's error count s over the T occasions is
     # sufficient: the squared deviations of its T indicators around their
     # mean sum to s (T - s) / T, and the kernel's within-author term on s is
     # T^2 times that of the cell means around their author's mean.
     s = np.zeros(latent.accurate.shape, dtype=np.int64)
-    for r in realized:
+    t = 0
+    for t, r in enumerate(realized, 1):
         s += r != latent.accurate
+    if t < 2:
+        raise InsufficientReplicates("need at least 2 occasions")
     spread = float((s * (t - s)).sum())
     occasion_var = spread / (t * (t - 1) * s.size)
     _, _, within = _grouped(s, latent.author_of_paper, len(latent.author_offsets))

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from citenoise import build_system
 from citenoise.io import dump_json, save_system_csv
+from systems import as_lists
 
 # Ids need CSV quoting (comma, quote, newline) or JSON escapes (quote,
 # backslash, non-ASCII) now and then, and sometimes spell a matrix field's
@@ -125,7 +126,7 @@ def edit_json(draw, doc, fields, edit):
     """The bytes of the JSON document ``doc``, rendered by dump_json or as
     compact ``json.dumps`` output, with one edit of kind ``edit`` aimed at
     one of its top-level 0/1 matrix ``fields``."""
-    doc = copy.deepcopy(doc)
+    doc = as_lists(doc)
     field = draw(st.sampled_from(fields))
     key = b'"%s":' % field.encode()
     if edit == "nested key":  # a copy of the matrix under the same key, earlier

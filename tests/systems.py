@@ -1,6 +1,21 @@
-"""Seeded random systems shared by the test modules."""
+"""Seeded random systems, and documents as lists, shared by the test modules."""
+
+import numpy as np
 
 from citenoise import build_system
+
+
+def as_lists(value):
+    """``value`` with every array in it, at any depth, as its ``.tolist()``,
+    and every dict and list rebuilt: a copy of a document to edit, or to
+    pass to ``json.dumps``."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if type(value) is dict:
+        return {key: as_lists(item) for key, item in value.items()}
+    if type(value) is list:
+        return [as_lists(item) for item in value]
+    return value
 
 
 def random_system(rng, max_authors=8, max_papers=30, max_cited=15):

@@ -23,7 +23,7 @@ from citenoise import io as cio
 from edits import (
     CSV_EDITS, JSON_EDITS, csv_pairs, edit_json, id_text, plain_id_text, small_systems,
 )
-from systems import random_system
+from systems import as_lists, random_system
 
 
 def outcome(load, *paths):
@@ -116,7 +116,7 @@ def test_every_near_miss_of_a_byte_decodes_as_per_cell(tmp_path):
     system = build_system(["a", "b"], [("p", 0), ("q", 1), ("r", 1)], ["c", "d", "e"],
                           [[0, 1, 1], [1, 0, 0], [0, 0, 1]], [[1, 1, 0], [0, 0, 1], [1, 0, 1]])
     doc = cio.system_to_document(system)
-    for text in (cio.dump_json(doc), json.dumps(doc)):
+    for text in (cio.dump_json(doc), json.dumps(as_lists(doc))):
         for data in near_misses(text.encode()):
             assert_same_outcome({"system.json": data}, cio.load_system)
     cio.save_system_csv(system, tmp_path / "R.csv", tmp_path / "A.csv")
@@ -131,7 +131,8 @@ def test_byte_path_accepts_what_citenoise_and_json_write(tmp_path, seed):
     so the equivalence tests above also cover the accepting branch."""
     s = random_system(np.random.default_rng(seed))
     doc = cio.system_to_document(s)
-    for text in (cio.dump_json(doc), json.dumps(doc), json.dumps(doc, indent="\t")):
+    for text in (cio.dump_json(doc), json.dumps(as_lists(doc)),
+                 json.dumps(as_lists(doc), indent="\t")):
         decoded = cio._json_matrices(text.encode(), ("realized", "accurate"))
         assert decoded is not None
         assert cio.system_from_document(decoded) == s
@@ -153,7 +154,7 @@ def test_matrices_before_an_id_that_spells_their_key():
     system = build_system(["realized", "b"], [("accurate", 0), ("q", 1)], ["c", "realized"],
                           [[0, 1], [1, 0]], [[1, 1], [0, 1]])
     doc = cio.system_to_document(system)
-    text = json.dumps({"realized": None, "accurate": None, **doc}).encode()
+    text = json.dumps({"realized": None, "accurate": None, **as_lists(doc)}).encode()
     assert text.startswith(b'{"realized": [[')
     decoded = cio._json_matrices(text, ("realized", "accurate"))
     assert decoded is not None and cio.system_from_document(decoded) == system

@@ -1,27 +1,39 @@
-"""``io.dump_json`` writes exactly ``json.dumps(doc, indent=2) + "\\n"``.
+"""``io.dump_json`` writes exactly ``json.dumps(doc, indent=2) + "\\n"`` of the
+document with every numpy array in it as its ``.tolist()``.
 
 The renderer takes templates for non-empty lists of scalars, of scalar lists
 and of flat records, where one rule says which lists render: all strings, or
-all exact ints and finite floats. Any other value falls back to
-``json.dumps``. These tests compare the renderer with ``json.dumps`` on
-generated documents, one example per fallback shape, and on every JSON
-output the CLI writes. ``io.dump_omissions`` renders the ``omissions``
-document from the flag arrays, and is compared with ``json.dumps`` of the
-document built from the same flags.
+all exact ints and finite floats. A non-empty 2-D int8 array of 0s and 1s is
+rendered from its bytes, and any other array as its ``.tolist()``. Any other
+value falls back to ``json.dumps``. These tests compare the renderer with
+``json.dumps`` on generated documents, one example per fallback shape, and
+on every JSON output the CLI writes. ``io.dump_omissions`` renders the
+``omissions`` document from the flag arrays, and is compared with
+``json.dumps`` of the document built from the same flags.
 """
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from citenoise import analyze, build_similarity, builtin_fixture, omission_indicator
+from citenoise import (
+    GenerativeConfig,
+    analyze,
+    build_similarity,
+    builtin_fixture,
+    generate_system,
+    omission_indicator,
+)
 from citenoise import io as cio
 from citenoise.cli import run_cli
 from citenoise.fixtures import fixture_names
+
+from systems import as_lists
 
 finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [-0.0, 5e-324, 1e300, -1e-300]
@@ -71,8 +83,25 @@ def record_lists(draw):
     return records
 
 
-values = matrices | vectors | record_lists() | st.recursive(
-    ids | numbers | odd, lambda inner: st.lists(inner, max_size=2), max_leaves=4
+@st.composite
+def arrays(draw):
+    """An int8 matrix, J and K from 0 to 3, of 0s and 1s or of any bytes:
+    whole, every other column, transposed or read-only; or the same cells
+    as another dtype or shape."""
+    j, k = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    cells = draw(st.sampled_from([st.integers(0, 1), st.integers(-128, 127)]))
+    m = np.array(draw(st.lists(cells, min_size=j * k, max_size=j * k)), dtype=np.int8)
+    m = m.reshape(j, k)
+    read_only = m.copy()
+    read_only.setflags(write=False)
+    return draw(st.sampled_from([
+        m, m[:, ::2], m.T, read_only, m.astype(np.int64), m.astype(np.uint8), m != 0,
+        m / 2, m.ravel(), m[None], np.array(j, dtype=np.int8), np.array(["x", 'q"'] * j),
+    ]))
+
+
+values = matrices | vectors | record_lists() | arrays() | st.recursive(
+    ids | numbers | odd | arrays(), lambda inner: st.lists(inner, max_size=2), max_leaves=4
 )
 documents = st.one_of(
     st.dictionaries(ids | st.sampled_from(KEYS), values, min_size=1, max_size=4),
@@ -81,7 +110,19 @@ documents = st.one_of(
 )
 
 
+BITS = np.array([[0, 1, 1], [1, 0, 0]], dtype=np.int8)
+
+
 @given(documents)
+@example({"realized": BITS, "accurate": BITS[:1], "t": BITS.T, "cols": BITS[:, ::2]})
+@example({"row": BITS[:, :1], "column": BITS[:1, :1], "empty": BITS[:0], "no-cells": BITS[:, :0]})
+@example({"bytes": np.array([[0, -1], [2, 127], [-128, 1]], dtype=np.int8)})
+@example({"negative": np.array([[0, -1], [1, -128]], dtype=np.int8)})
+@example({"int64": BITS.astype(np.int64), "bool": BITS != 0, "float": BITS / 2})
+@example({"vector": BITS[0], "cube": BITS[None], "0-d": np.array(1, dtype=np.int8)})
+@example({"nested": [BITS, {"a": BITS}]})
+@example(BITS)
+@example([BITS, {"a": BITS}])
 @example({"empty": []})
 @example({"bool-in-int-row": [[1, True], [0, 1]]})
 @example({"empty-row": [[1, 2], []]})
@@ -106,7 +147,24 @@ documents = st.one_of(
 @example([{"a": "x"}])
 @example("text")
 def test_dump_json_is_json_dumps_indent_2(doc):
-    assert cio.dump_json(doc) == json.dumps(doc, indent=2) + "\n"
+    assert cio.dump_json(doc) == json.dumps(as_lists(doc), indent=2) + "\n"
+
+
+def test_binary_matrices_render_without_a_per_cell_copy():
+    """A system's two 2000 x 100 matrices go into the document as they are
+    and are rendered from their bytes: the peak is about 3.1 times the text,
+    against 4.0 with a list of lists per matrix."""
+    config = GenerativeConfig(seed=1, n_authors=100, papers_per_author=20, n_cited=100,
+                              base_error=0.1)
+    system = generate_system(config)[0]
+    text = cio.dump_json(cio.system_to_document(system))
+    tracemalloc.start()
+    try:
+        cio.dump_json(cio.system_to_document(system))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * len(text)
 
 
 def test_templates_render_the_large_kinds():

@@ -27,7 +27,7 @@ from citenoise.errors import (
 from citenoise.fixtures import fixture_names
 from citenoise import io as cio
 
-from systems import random_system
+from systems import as_lists, random_system
 
 
 class TestFixtures:
@@ -104,7 +104,7 @@ class TestSystemDocuments:
         assert r.sigma_sys == pytest.approx(0.18, abs=5e-3)
 
     def test_non_binary_value_positioned(self, tmp_path):
-        doc = cio.system_to_document(builtin_fixture("table1"))
+        doc = as_lists(cio.system_to_document(builtin_fixture("table1")))
         doc["realized"][0][0] = 2
         p = tmp_path / "bad.json"
         p.write_text(cio.dump_json(doc))
@@ -121,7 +121,7 @@ class TestSystemDocuments:
             cio.load_system_csv(tmp_path / "R.csv", tmp_path / "A.csv")
 
     def test_schema_version_check(self, tmp_path):
-        doc = cio.system_to_document(builtin_fixture("table1"))
+        doc = as_lists(cio.system_to_document(builtin_fixture("table1")))
         doc["schema_version"] = "99"
         p = tmp_path / "v99.json"
         p.write_text(cio.dump_json(doc))

@@ -1,12 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from citenoise import (
     DecisionClass,
+    build_similarity,
     build_system,
     builtin_fixture,
     classify_decision,
     error_matrix,
+    omission_indicator,
 )
 from citenoise.errors import (
     DimensionMismatch,
@@ -90,6 +96,93 @@ class TestBuildSystem:
         s = builtin_fixture("table1")
         with pytest.raises(ValueError):
             s.realized[0, 0] = 1
+
+    def test_int8_pair_is_checked_in_place(self):
+        """An int8 pair is checked without a per-cell temporary: the peak is
+        the two read-only copies and a little more."""
+        rng = np.random.default_rng(0)
+        r, a = (rng.integers(0, 2, (1000, 1000), dtype=np.int8) for _ in range(2))
+        ids = ([f"p{j}" for j in range(1000)], [f"c{k}" for k in range(1000)])
+        tracemalloc.start()
+        try:
+            build_system(["a"], [(pid, 0) for pid in ids[0]], ids[1], r, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * r.nbytes
+
+
+# Any byte, the ones next to 0 and 1 and the extremes first.
+BYTES = st.sampled_from([-128, -1, 2, 127]) | st.integers(-128, 127)
+
+
+@st.composite
+def int8_matrices(draw):
+    """An int8 matrix of 0s and 1s, J and K from 0 to 4, with up to two
+    cells set to any byte; whole, every other column, or transposed."""
+    j, k = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    cells = draw(st.lists(st.sampled_from([0, 1]), min_size=j * k, max_size=j * k))
+    m = np.array(cells, dtype=np.int8).reshape(j, k)
+    if m.size:
+        for _ in range(draw(st.integers(0, 2))):
+            m[draw(st.integers(0, j - 1)), draw(st.integers(0, k - 1))] = draw(BYTES)
+    return draw(st.sampled_from([m, m[:, ::2], m.T]))
+
+
+def isin_message(m, name):
+    """The NonBinaryEntry message of the np.isin check on ``m``: the first bad
+    cell in row-major order; None if every cell is 0 or 1."""
+    bad = np.argwhere(~np.isin(m, (0, 1)))
+    if not len(bad):
+        return None
+    j, k = bad[0]
+    return f"{name}[{j}][{k}] = {m[j, k]} is not 0 or 1"
+
+
+def non_binary_message(call):
+    try:
+        call()
+    except NonBinaryEntry as exc:
+        return str(exc)
+    except DimensionMismatch:  # the shape is checked after the cells
+        pass
+    return None
+
+
+@given(int8_matrices())
+@example(np.array([[0, -128], [127, 1]], dtype=np.int8))
+@example(np.array([[1, 1, -1]], dtype=np.int8))
+@example(np.array([[0], [2]], dtype=np.int8))
+@example(np.array([[1, 0, 1], [0, 2, 0]], dtype=np.int8)[:, ::2])
+@example(np.array([[1, -1], [0, 1]], dtype=np.int8).T)
+@example(np.zeros((0, 3), dtype=np.int8))
+@example(np.zeros((3, 0), dtype=np.int8))
+def test_int8_check_is_the_isin_check(m):
+    """build_system and omission_indicator accept exactly the int8 matrices
+    np.isin accepts, name the same first bad cell, and keep a read-only
+    int8 copy that no later write to the caller's array reaches."""
+    j, k = m.shape
+    n = len(m)
+    sim = build_similarity([f"p{i}" for i in range(n)], list(range(n)), np.ones((n, n)))
+    assert non_binary_message(lambda: omission_indicator(sim, m, 1)) == isin_message(
+        m, "citations"
+    )
+    if not m.size:  # no system is empty
+        return
+    ids = ["a"], [(f"p{i}", 0) for i in range(j)], [f"c{c}" for c in range(k)]
+    zeros = np.zeros((j, k), dtype=np.int8)
+    expected = isin_message(m, "realized")
+    assert non_binary_message(lambda: build_system(*ids, m, zeros)) == expected
+    assert non_binary_message(lambda: build_system(*ids, zeros, m)) == (
+        expected and expected.replace("realized", "accurate", 1)
+    )
+    if expected is None:
+        s = build_system(*ids, m, m)
+        before = m.copy()
+        m ^= 1
+        for matrix in (s.realized, s.accurate):
+            assert matrix.dtype == np.int8 and not matrix.flags.writeable
+            assert np.array_equal(matrix, before)
 
 
 class TestErrorMatrix:

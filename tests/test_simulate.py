@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 from unittest import mock
@@ -16,7 +17,9 @@ from citenoise import (
     generate_system,
     replicate_decisions,
 )
+from citenoise.cli import run_cli
 from citenoise.errors import InsufficientReplicates, InvalidConfig
+from citenoise.simulate import _sample_latent, _sample_realized
 
 
 def cfg(**kw):
@@ -197,6 +200,38 @@ class TestReplicateDecisions:
     def test_requires_two_replicates(self):
         with pytest.raises(InvalidConfig):
             replicate_decisions(cfg(replicates=1))
+
+    def test_replicate_t_draws_from_child_2_plus_t(self):
+        config = cfg(n_authors=2, papers_per_author=3, n_cited=4, base_error=0.3,
+                     replicates=4)
+        children = np.random.SeedSequence(config.seed).spawn(2 + config.replicates)
+        latent = _sample_latent(config, *map(np.random.default_rng, children[:2]))
+        realized, got = replicate_decisions(config)
+        assert np.array_equal(got.flip_probs, latent.flip_probs)
+        assert len(realized) == config.replicates
+        for r, child in zip(realized, children[2:]):
+            assert np.array_equal(r, _sample_realized(latent, np.random.default_rng(child)))
+
+    def test_retest_spawns_each_replicate_as_it_runs(self, tmp_path):
+        # replicates 10**9: spawning them all up front grows memory one small
+        # object at a time, and no single allocation fails.
+        class Stop(Exception):
+            pass
+
+        spawned = []
+
+        class Recording(np.random.SeedSequence):
+            def spawn(self, n_children):
+                spawned.append(n_children)
+                if n_children > 2 or len(spawned) > 5:
+                    raise Stop
+                return super().spawn(n_children)
+
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 1, "base_error": 0.2, "replicates": 10**9}))
+        with mock.patch.object(np.random, "SeedSequence", Recording), pytest.raises(Stop):
+            run_cli(["retest", "--config", str(config)])
+        assert max(spawned) <= 2
 
     def test_earlier_replicates_stable_when_adding_more(self):
         base = cfg(n_authors=3, papers_per_author=2, n_cited=4, base_error=0.3, replicates=3)
@@ -418,7 +453,6 @@ class TestBiasRecovery:
         # a system; the average must equal citation_bias on validated systems
         # sampled from the same streams.
         from citenoise import build_system, citation_bias
-        from citenoise.simulate import _sample_latent, _sample_realized
 
         config = cfg(n_authors=3, papers_per_author=4, n_cited=5,
                      base_error=0.2, bias_shift=0.05, seed=19)
