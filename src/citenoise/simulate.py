@@ -10,6 +10,9 @@ where e_i is a per-author offset (uniform, half-width ``level_spread``),
 u_ik a stable author x cited-paper offset (half-width ``interaction_spread``),
 and b_k a directional bias term: dir is +1 on A=0 cells and -1 on A=1
 cells, so positive b_k pushes realized counts above expected counts.
+pi depends on a cell only through its author, its cited paper and A, so it
+is computed on two per-author n_authors x K tables, one for each value of
+A, and then spread over the J x K cells.
 Occasion noise is the Bernoulli sampling itself; repeated occasions reuse
 the same flip probabilities with fresh randomness.
 
@@ -20,6 +23,7 @@ never perturbs earlier replicates.
 
 import math
 import numbers
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -82,9 +86,7 @@ class GenerativeConfig:
             shift = tuple(shift)
             object.__setattr__(self, "bias_shift", shift)
         for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+            _integer(name, getattr(self, name))
         for name in _REAL_FIELDS:
             _check_finite(name, getattr(self, name))
         for value in shift if type(shift) is tuple else [shift]:
@@ -155,29 +157,29 @@ class LatentTruth:
 
 
 def _sample_latent(config, rng_accurate, rng_latent):
-    j, k = config.n_citing, config.n_cited
-    accurate = (rng_accurate.random((j, k)) < config.should_cite_prob).astype(np.int8)
+    n, ppa, k = config.n_authors, config.papers_per_author, config.n_cited
+    accurate = (rng_accurate.random((n * ppa, k)) < config.should_cite_prob).astype(np.int8)
 
-    e = rng_latent.uniform(-config.level_spread, config.level_spread, config.n_authors)
-    u = rng_latent.uniform(
-        -config.interaction_spread, config.interaction_spread, (config.n_authors, k)
-    )
+    e = rng_latent.uniform(-config.level_spread, config.level_spread, n)
+    u = rng_latent.uniform(-config.interaction_spread, config.interaction_spread, (n, k))
     b = config.bias_offsets()
-    author_of_paper = np.repeat(np.arange(config.n_authors), config.papers_per_author)
+    author_of_paper = np.repeat(np.arange(n), ppa)
 
-    direction = np.where(accurate == 0, 1.0, -1.0)
-    raw = (
-        config.base_error
-        + e[author_of_paper][:, None]
-        + u[author_of_paper]
-        + b[None, :] * direction
-    )
-    clamped = np.count_nonzero((raw < 0.0) | (raw > 1.0))
-    if clamped > MAX_CLAMPED_FRACTION * raw.size:
+    # pi depends only on the author, the cited paper and A: one n x K table
+    # per value of A, each cell summed in the per-cell formula's order
+    # (x + -b is x - b).
+    base = (config.base_error + e)[:, None] + u
+    hi, lo = base + b, base - b  # A = 0, A = 1
+    by_author = accurate.reshape(n, ppa, k)
+    ones = by_author.sum(axis=1)
+    clamped = int((ones * _outside(lo)).sum() + ((ppa - ones) * _outside(hi)).sum())
+    if clamped > MAX_CLAMPED_FRACTION * accurate.size:
         raise InvalidConfig(
-            f"flip probabilities leave [0, 1] on {clamped}/{raw.size} cells"
+            f"flip probabilities leave [0, 1] on {clamped}/{accurate.size} cells"
         )
-    pi = np.clip(raw, 0.0, 1.0)
+    pi = np.where(
+        by_author, np.clip(lo, 0.0, 1.0)[:, None], np.clip(hi, 0.0, 1.0)[:, None]
+    ).reshape(accurate.shape)
     return LatentTruth(
         author_offsets=e,
         interaction_offsets=u,
@@ -188,9 +190,12 @@ def _sample_latent(config, rng_accurate, rng_latent):
     )
 
 
+def _outside(raw):
+    return (raw < 0.0) | (raw > 1.0)
+
+
 def _sample_realized(latent, rng):
-    flips = rng.random(latent.flip_probs.shape) < latent.flip_probs
-    return np.where(flips, 1 - latent.accurate, latent.accurate).astype(np.int8)
+    return latent.accurate ^ (rng.random(latent.flip_probs.shape) < latent.flip_probs)
 
 
 def generate_system(config):
@@ -269,20 +274,34 @@ def decompose_pattern_noise(realized, latent):
     return math.sqrt(stable_var), math.sqrt(occasion_var)
 
 
+def _integer(name, value):
+    """``value`` as an int; InvalidConfig for a bool or a non-integral value."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)  # numpy's bool has no __index__
+        except TypeError:
+            pass
+    raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+
+
 def _check_trials(trials):
+    trials = _integer("trials", trials)
     if trials < 100:
         raise InvalidConfig("need at least 100 trials")
     if trials > _MAX_SIZE:
         raise InvalidConfig(f"trials must be at most {_MAX_SIZE}, got {trials}")
+    return trials
 
 
 def aggregation_curve(config, sample_sizes, trials):
     """Empirical vs theoretical SE of a mean of n Bernoulli decisions.
 
     Returns a list of (n, empirical_se, theoretical_se) rows; the citation
-    probability p is the config's should_cite_prob.
+    probability p is the config's should_cite_prob. ``trials`` and each
+    sample size are integers (numpy ones too) but not bools.
     """
-    _check_trials(trials)
+    trials = _check_trials(trials)
+    sample_sizes = [_integer("sample size", n) for n in sample_sizes]
     if any(not 1 <= n <= _MAX_SAMPLE_SIZE for n in sample_sizes):
         raise InvalidConfig(f"sample sizes must be in [1, {_MAX_SAMPLE_SIZE}]")
     p = config.should_cite_prob
@@ -290,7 +309,7 @@ def aggregation_curve(config, sample_sizes, trials):
     rows = []
     for n in sample_sizes:
         means = rng.binomial(n, p, size=trials) / n
-        rows.append((int(n), float(means.std(ddof=1)), math.sqrt(p * (1 - p) / n)))
+        rows.append((n, float(means.std(ddof=1)), math.sqrt(p * (1 - p) / n)))
     return rows
 
 
@@ -307,8 +326,9 @@ def expected_bias(config):
 
 
 def bias_recovery(config, trials):
-    """Average measured bias over generated systems vs the analytic value."""
-    _check_trials(trials)
+    """Average measured bias over generated systems vs the analytic value;
+    ``trials`` is an integer as in :func:`aggregation_curve`."""
+    trials = _check_trials(trials)
     parent = np.random.SeedSequence(config.seed)
     total = 0.0
     for _ in range(trials):

@@ -6,6 +6,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from citenoise import (
     GenerativeConfig,
@@ -19,7 +21,7 @@ from citenoise import (
 )
 from citenoise.cli import run_cli
 from citenoise.errors import InsufficientReplicates, InvalidConfig
-from citenoise.simulate import _sample_latent, _sample_realized
+from citenoise.simulate import MAX_CLAMPED_FRACTION, _sample_latent, _sample_realized
 
 
 def cfg(**kw):
@@ -113,6 +115,137 @@ class TestConfigValidation:
                 cfg(n_authors=5, papers_per_author=4, n_cited=10,
                     base_error=0.0, bias_shift=0.5, should_cite_prob=0.5)
             )
+
+
+def per_cell_latent(config, rng_accurate, rng_latent):
+    """The per-cell formula the per-author tables replaced: ``(flip_probs,
+    accurate, clamped)``, or the InvalidConfig it raised."""
+    j, k = config.n_citing, config.n_cited
+    accurate = (rng_accurate.random((j, k)) < config.should_cite_prob).astype(np.int8)
+    e = rng_latent.uniform(-config.level_spread, config.level_spread, config.n_authors)
+    u = rng_latent.uniform(
+        -config.interaction_spread, config.interaction_spread, (config.n_authors, k)
+    )
+    b = config.bias_offsets()
+    author_of_paper = np.repeat(np.arange(config.n_authors), config.papers_per_author)
+    direction = np.where(accurate == 0, 1.0, -1.0)
+    raw = (
+        config.base_error
+        + e[author_of_paper][:, None]
+        + u[author_of_paper]
+        + b[None, :] * direction
+    )
+    clamped = np.count_nonzero((raw < 0.0) | (raw > 1.0))
+    if clamped > MAX_CLAMPED_FRACTION * raw.size:
+        raise InvalidConfig(
+            f"flip probabilities leave [0, 1] on {clamped}/{raw.size} cells"
+        )
+    return np.clip(raw, 0.0, 1.0), accurate, clamped
+
+
+def streams(seed, n):
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
+
+
+unit = st.floats(0.0, 1.0)
+shift = st.floats(-0.6, 0.6)
+
+
+@st.composite
+def sampler_configs(draw):
+    k = draw(st.integers(1, 6))
+    return cfg(
+        seed=draw(st.integers(0, 2**32)),
+        n_authors=draw(st.integers(1, 5)),
+        papers_per_author=draw(st.integers(1, 5)),
+        n_cited=k,
+        should_cite_prob=draw(unit),
+        base_error=draw(unit),
+        level_spread=draw(st.floats(0.0, 0.5)),
+        interaction_spread=draw(st.floats(0.0, 0.5)),
+        bias_shift=draw(shift | st.tuples(*[shift] * k)),
+    )
+
+
+# 100 x 200 cells, one cited paper's 100 cells pushed out of [0, 1]: 0.5%
+# of the cells are clamped, under the 1% that is rejected.
+CLAMPED = [
+    cfg(n_authors=10, papers_per_author=10, n_cited=200, base_error=0.5,
+        interaction_spread=0.05, bias_shift=(0.6,) + (0.0,) * 199),
+    cfg(n_authors=10, papers_per_author=10, n_cited=200, base_error=0.5,
+        level_spread=0.02, bias_shift=(0.0,) * 150 + (-0.7,) + (0.01,) * 49, seed=7),
+]
+
+
+class TestSamplerOracle:
+    """The per-author tables give every cell the bits of the per-cell formula."""
+
+    @given(sampler_configs())
+    @example(cfg(n_authors=1, papers_per_author=1, n_cited=1, base_error=0.3))
+    @example(cfg(n_authors=1, papers_per_author=3, n_cited=1, bias_shift=-0.2,
+                 base_error=0.25, interaction_spread=0.1))
+    @example(cfg(n_authors=3, papers_per_author=1, n_cited=2, bias_shift=(0.4, -0.5),
+                 base_error=0.5, level_spread=0.2))
+    @example(cfg(n_authors=2, papers_per_author=2, n_cited=3, base_error=0.0,
+                 bias_shift=0.3))  # every A = 1 cell leaves [0, 1]
+    @example(CLAMPED[0])
+    @example(CLAMPED[1])
+    def test_latent_matches_per_cell_formula(self, config):
+        try:
+            expected = per_cell_latent(config, *streams(config.seed, 2))
+        except InvalidConfig as exc:
+            with pytest.raises(InvalidConfig) as got:
+                _sample_latent(config, *streams(config.seed, 2))
+            assert str(got.value) == str(exc)
+            return
+        flip_probs, accurate, _ = expected
+        latent = _sample_latent(config, *streams(config.seed, 2))
+        assert latent.accurate.dtype == np.int8
+        assert latent.flip_probs.tobytes() == flip_probs.tobytes()
+        assert latent.accurate.tobytes() == accurate.tobytes()
+
+    @pytest.mark.parametrize("config", CLAMPED)
+    def test_clamped_cells_under_the_limit_are_sampled(self, config):
+        flip_probs, _, clamped = per_cell_latent(config, *streams(config.seed, 2))
+        assert 0 < clamped <= MAX_CLAMPED_FRACTION * flip_probs.size
+        latent = _sample_latent(config, *streams(config.seed, 2))
+        assert latent.flip_probs.tobytes() == flip_probs.tobytes()
+        assert ((latent.flip_probs == 0.0) | (latent.flip_probs == 1.0)).any()
+
+    def test_rejection_counts_clamped_cells_of_both_tables(self):
+        # Cited paper 0 leaves [0, 1] on all 4 of its cells: above 1 where
+        # A = 0, below 0 where A = 1; both values of A occur.
+        config = cfg(n_authors=2, papers_per_author=2, n_cited=2, base_error=0.5,
+                     bias_shift=(0.6, 0.0))
+        accurate = streams(config.seed, 1)[0].random((4, 2)) < config.should_cite_prob
+        assert 0 < accurate[:, 0].sum() < 4
+        message = r"^flip probabilities leave \[0, 1\] on 4/8 cells$"
+        with pytest.raises(InvalidConfig, match=message):
+            per_cell_latent(config, *streams(config.seed, 2))
+        with pytest.raises(InvalidConfig, match=message):
+            _sample_latent(config, *streams(config.seed, 2))
+
+    @given(sampler_configs())
+    def test_realized_matches_where(self, config):
+        try:
+            latent = _sample_latent(config, *streams(config.seed, 2))
+        except InvalidConfig:
+            return
+        rng_new, rng_old = (np.random.default_rng(config.seed) for _ in range(2))
+        flips = rng_old.random(latent.flip_probs.shape) < latent.flip_probs
+        expected = np.where(flips, 1 - latent.accurate, latent.accurate).astype(np.int8)
+        got = _sample_realized(latent, rng_new)
+        assert got.dtype == np.int8
+        assert np.array_equal(got, expected)
+
+    def test_sampling_holds_no_cell_sized_temporaries(self):
+        # The random draws and pi, each J x K float64, and little more: the
+        # per-cell formula peaked at over 3 times J x K x 8 bytes.
+        config = cfg(seed=1, n_authors=100, papers_per_author=20, n_cited=100,
+                     base_error=0.15, level_spread=0.05, interaction_spread=0.03,
+                     bias_shift=0.02, should_cite_prob=0.3)
+        peak = traced_peak(lambda: _sample_latent(config, *streams(1, 2)))
+        assert peak < 2 * config.n_citing * config.n_cited * 8
 
 
 class TestGenerateSystem:
@@ -384,6 +517,23 @@ class TestAggregationCurve:
         with pytest.raises(InvalidConfig):
             aggregation_curve(cfg(), [0], trials=100)
 
+    @pytest.mark.parametrize("trials", [150.0, True, np.bool_(True), "150", None])
+    def test_rejects_non_integer_trials(self, trials):
+        with pytest.raises(InvalidConfig, match="^trials must be an integer, got "):
+            aggregation_curve(cfg(), [10], trials)
+
+    @pytest.mark.parametrize("n", [1.5, 2.0, True, np.bool_(True), np.float64(3), "2"])
+    def test_rejects_non_integer_sample_sizes(self, n):
+        # Before, 1.5 gave a row labelled n=1 with the theoretical SE of
+        # n=1.5, and True was taken as n=1.
+        with pytest.raises(InvalidConfig, match="^sample size must be an integer, got "):
+            aggregation_curve(cfg(), [10, n], 100)
+
+    def test_accepts_numpy_integers(self):
+        rows = aggregation_curve(cfg(seed=4), [np.int64(10), np.uint8(20)], np.int32(100))
+        assert rows == aggregation_curve(cfg(seed=4), [10, 20], 100)
+        assert all(type(n) is int for n, _, _ in rows)
+
     def test_deterministic(self):
         a = aggregation_curve(cfg(should_cite_prob=0.3, seed=2), [10, 100], 500)
         b = aggregation_curve(cfg(should_cite_prob=0.3, seed=2), [10, 100], 500)
@@ -422,6 +572,15 @@ class TestBiasRecovery:
 
         with mock.patch("citenoise.simulate._sample_latent", side_effect=Stop):
             assert traced_peak(run) < 2 * 2**20
+
+    @pytest.mark.parametrize("trials", [150.0, True, np.bool_(True), np.float64(100)])
+    def test_rejects_non_integer_trials(self, trials):
+        with pytest.raises(InvalidConfig, match="^trials must be an integer, got "):
+            bias_recovery(cfg(), trials)
+
+    def test_accepts_numpy_integer_trials(self):
+        config = cfg(n_authors=2, papers_per_author=2, n_cited=3, base_error=0.2)
+        assert bias_recovery(config, np.int64(100)) == bias_recovery(config, 100)
 
     def test_rejects_trials_beyond_intp(self):
         # Rejected before any substream is spawned.
