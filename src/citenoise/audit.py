@@ -22,7 +22,7 @@ from .errors import (
     NonSymmetric,
     ParseError,
 )
-from .model import _as_binary_matrix
+from .model import _as_binary_matrix, _check_unique
 
 SYMMETRY_TOL = 1e-9
 JT_HEADER = ("cited work", "section", "knowledge flowed")
@@ -57,8 +57,7 @@ def build_similarity(paper_ids, timestamps, scores):
         raise DimensionMismatch("one timestamp per paper id required")
     if s.shape != (n, n):
         raise DimensionMismatch(f"similarity matrix {s.shape} vs {n} papers")
-    if len(set(paper_ids)) != n:
-        raise DimensionMismatch("paper ids must be unique")
+    _check_unique(paper_ids, "paper")
     if not np.isfinite(s).all():
         raise DimensionMismatch("similarity scores must be finite")
     if n and np.abs(s - s.T).max() > SYMMETRY_TOL:

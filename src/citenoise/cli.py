@@ -64,7 +64,8 @@ def _cmd_analyze(args):
 
 def _cmd_simulate(args):
     config = _load_config(args.config, args.seed)
-    system, latent = generate_system(config)
+    with cio._naming(args.config):  # flip probabilities must stay in [0, 1]
+        system, latent = generate_system(config)
     if args.latent:
         cio.write_text(cio.dump_json(cio.latent_to_document(latent)), args.latent)
     return cio.dump_json(cio.system_to_document(system))
@@ -72,7 +73,9 @@ def _cmd_simulate(args):
 
 def _cmd_retest(args):
     config = _load_config(args.config, args.seed)
-    stable, occasion = decompose_pattern_noise(*iter_replicates(config))
+    with cio._naming(args.config):  # replicates >= 2, flip probabilities in [0, 1]
+        realized, latent = iter_replicates(config)
+    stable, occasion = decompose_pattern_noise(realized, latent)
     return cio.dump_json(cio.retest_to_document(config.replicates, stable, occasion))
 
 

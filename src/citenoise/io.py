@@ -31,9 +31,9 @@ so every error type, message, offset and line number is its own, and a file
 both accept gives the same ids, owners and int8 matrices. The writer is the
 byte path's inverse: :func:`dump_json` renders an int8 0/1 matrix by adding
 its bytes to the digits of the indented form of the same row template,
-:func:`_row_template`. A float64 array (the latent-truth sidecar's flip
-probabilities and offsets) is rendered with each distinct value's ``repr``
-computed once, and its texts gathered into the cells.
+:func:`_row_template`. A float64 matrix (the latent-truth sidecar's flip
+probabilities and interaction offsets) is rendered with each distinct
+value's ``repr`` computed once, and its texts gathered into the cells.
 """
 
 import contextlib
@@ -134,14 +134,13 @@ def dump_json(doc):
     fixed key order, LF, trailing newline.
 
     ``json.dumps`` with an indent runs the pure-Python encoder, so each
-    top-level value of a dict document is rendered on its own. A non-empty
-    2-D int8 array of 0s and 1s is rendered from its bytes by
-    :func:`_binary_matrix`, and a non-empty 1-D or 2-D float64 array by
-    :func:`_float_array`, which computes each distinct value's ``repr``
-    once; any other array goes on as its ``.tolist()``. A
-    non-empty list of scalars, of scalar lists or of flat records takes a
-    template, where :func:`_scalars` renders each list, row or field; any
-    other value goes to ``json.dumps``.
+    top-level value of a dict document is rendered on its own, by one of
+    four paths: a non-empty 2-D int8 array of 0s and 1s from its bytes
+    (:func:`_binary_matrix`); a non-empty 2-D finite float64 array with
+    one ``repr`` per distinct value (:func:`_float_matrix`); a non-empty
+    list of flat records (:func:`_flat_records`); and a non-empty list of
+    scalars (:func:`_scalars`). Any other array goes on as its
+    ``.tolist()``, and any other value goes to ``json.dumps``.
     """
     if type(doc) is not dict or not doc or not all(type(key) is str for key in doc):
         return _dumps(doc) + "\n"
@@ -167,26 +166,18 @@ def _render_value(value):
     """A top-level value of a document, rendered as ``json.dumps(indent=2)``
     renders it one level deep."""
     if type(value) is np.ndarray:
-        if value.ndim == 2 and value.size and value.dtype == np.int8 and _binary_int8(value):
-            return _binary_matrix(value)
-        # Native byte order only, so that its uint64 view holds its bits.
-        if value.ndim in (1, 2) and value.size and value.dtype == np.float64:
-            text = _float_array(value)
-            if text is not None:
-                return text
+        if value.ndim == 2 and value.size:
+            if value.dtype == np.int8 and _binary_int8(value):
+                return _binary_matrix(value)
+            # Native byte order only, so that its uint64 view holds its bits.
+            if value.dtype == np.float64:
+                text = _float_matrix(value)
+                if text is not None:
+                    return text
         value = value.tolist()
     if type(value) is list and value:
-        kind = type(value[0])
-        if kind is dict:
+        if type(value[0]) is dict:
             text = _flat_records(value)
-        elif kind is list:
-            rows = []
-            for row in value:
-                texts = _scalars(row)
-                if texts is None:
-                    break
-                rows.append("[\n      " + ",\n      ".join(texts) + "\n    ]")
-            text = ",\n    ".join(rows) if len(rows) == len(value) else None
         else:
             texts = _scalars(value)
             text = None if texts is None else ",\n    ".join(texts)
@@ -231,26 +222,22 @@ def _binary_matrix(matrix):
     return str(text, "ascii")
 
 
-def _float_array(array):
-    """The non-empty 1-D or 2-D float64 array ``array`` as a top-level value
-    of :func:`dump_json`, with each distinct value's ``repr`` computed once;
+def _float_matrix(matrix):
+    """The non-empty float64 matrix ``matrix`` as a top-level value of
+    :func:`dump_json`, with each distinct value's ``repr`` computed once;
     None if it holds a NaN or an infinity. Values are told apart by their
     bits, so -0.0 and 0.0 keep their own texts."""
-    bits, inverse = np.unique(array.ravel().view(np.uint64), return_inverse=True)
+    bits, inverse = np.unique(matrix.ravel().view(np.uint64), return_inverse=True)
     texts = _scalars(bits.view(np.float64).tolist())
     if texts is None:
         return None
-    if array.ndim == 1:
-        head, sep, row_sep, tail = "[\n    ", ",\n    ", ",\n    ", "\n  ]"
-    else:
-        head, sep, tail = "[\n    [\n      ", ",\n      ", "\n    ]\n  ]"
-        row_sep = "\n    ],\n    [\n      "
     # One join over the cells, each text followed by its separator.
-    cells = np.array([text + sep for text in texts], dtype=object)[inverse]
-    k = array.shape[-1]
-    cells[k - 1 :: k] = [texts[i] + row_sep for i in inverse[k - 1 :: k].tolist()]
-    cells[-1] = texts[inverse[-1]] + tail
-    cells[0] = head + cells[0]
+    cells = np.array([text + ",\n      " for text in texts], dtype=object)[inverse]
+    k = matrix.shape[1]
+    row_end = "\n    ],\n    [\n      "
+    cells[k - 1 :: k] = [texts[i] + row_end for i in inverse[k - 1 :: k].tolist()]
+    cells[-1] = texts[inverse[-1]] + "\n    ]\n  ]"
+    cells[0] = "[\n    [\n      " + cells[0]
     return "".join(cells.tolist())
 
 
@@ -272,8 +259,7 @@ def _scalars(values):
         # spells those NaN and Infinity.
         return None if "n" in "".join(texts) else texts
     if kinds == {str}:
-        encoded = {value: encode_basestring_ascii(value) for value in set(values)}
-        return map(encoded.__getitem__, values)
+        return map(encode_basestring_ascii, values)
     return None
 
 

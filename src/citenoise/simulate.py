@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientReplicates, InvalidConfig
+from .errors import DimensionMismatch, InsufficientReplicates, InvalidConfig
 from .metrics import _bias, _grouped
-from .model import build_system
+from .model import _as_binary_matrix, build_system
 
 # Fraction of cells whose unclamped flip probability may leave [0, 1]
 # before the configuration is rejected as analytically unusable.
@@ -247,7 +247,9 @@ def decompose_pattern_noise(realized, latent):
 
     ``realized`` is any iterable of T matrices over the accurate matrix and
     author labels of ``latent``, as :func:`replicate_decisions` or
-    :func:`iter_replicates` returns them; each is read once, in turn.
+    :func:`iter_replicates` returns them; each is read once, in turn, and
+    must be a 0/1 matrix of the accurate matrix's shape (NonBinaryEntry or
+    DimensionMismatch naming ``realized[i]`` otherwise).
 
     Works at the decision-cell level: for each cell the error indicator is
     observed across T occasions. The occasion component is the mean
@@ -262,6 +264,9 @@ def decompose_pattern_noise(realized, latent):
     s = np.zeros(latent.accurate.shape, dtype=np.int64)
     t = 0
     for t, r in enumerate(realized, 1):
+        r = _as_binary_matrix(r, f"realized[{t - 1}]")
+        if r.shape != s.shape:
+            raise DimensionMismatch(f"realized[{t - 1}] {r.shape} vs accurate {s.shape}")
         s += r != latent.accurate
     if t < 2:
         raise InsufficientReplicates("need at least 2 occasions")

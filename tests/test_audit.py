@@ -11,6 +11,7 @@ from citenoise import (
 )
 from citenoise.errors import (
     DimensionMismatch,
+    DuplicateId,
     EmptyKey,
     EmptyReason,
     MalformedRow,
@@ -51,6 +52,10 @@ class TestSimilarityMatrix:
     def test_rejects_asymmetric(self):
         with pytest.raises(NonSymmetric):
             build_similarity(["a", "b"], [0, 1], [[0, 0.3], [0.4, 0]])
+
+    def test_rejects_duplicate_id_naming_it(self):
+        with pytest.raises(DuplicateId, match=r"^duplicate paper id: 'a'$"):
+            build_similarity(["a", "b", "a"], [0, 1, 2], np.full((3, 3), 0.5))
 
     def test_rejects_bad_shape(self):
         with pytest.raises(DimensionMismatch):

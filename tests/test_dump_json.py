@@ -1,17 +1,18 @@
 """``io.dump_json`` writes exactly ``json.dumps(doc, indent=2) + "\\n"`` of the
 document with every numpy array in it as its ``.tolist()``.
 
-The renderer takes templates for non-empty lists of scalars, of scalar lists
-and of flat records, where one rule says which lists render: all strings, or
-all exact ints and finite floats. A non-empty 2-D int8 array of 0s and 1s is
-rendered from its bytes, and any other array as its ``.tolist()``. Any other
-value falls back to ``json.dumps``. These tests compare the renderer with
-``json.dumps`` on generated documents, one example per fallback shape, and
-on every JSON output the CLI writes. A non-empty 1-D or 2-D float64 array
-is rendered with each distinct value's ``repr`` computed once, unless it
-holds a NaN or an infinity. ``io.dump_omissions`` renders the
-``omissions`` document from the flag arrays, and is compared with
-``json.dumps`` of the document built from the same flags.
+Each top-level value takes one of four paths: a non-empty 2-D int8 array of
+0s and 1s is rendered from its bytes; a non-empty 2-D float64 array with
+each distinct value's ``repr`` computed once, unless it holds a NaN or an
+infinity; a non-empty list of flat records and a non-empty list of scalars
+by templates, where one rule says which lists render: all strings, or all
+exact ints and finite floats. Any other array goes on as its ``.tolist()``,
+and any other value, a list of lists too, falls back to ``json.dumps``.
+These tests compare the renderer with ``json.dumps`` on generated documents,
+one example per fallback shape, and on every JSON output the CLI writes,
+the audit's list of duplicate entries included. ``io.dump_omissions``
+renders the ``omissions`` document from the flag arrays, and is compared
+with ``json.dumps`` of the document built from the same flags.
 """
 
 import json
@@ -220,18 +221,18 @@ def test_float_arrays_render_as_json_dumps(m):
 
 def test_float_array_path_takes_native_finite_float64_only():
     native = np.array([[0.5, -0.0], [0.0, 0.5]])
-    assert cio._float_array(native) == cio._render_value(native.tolist())
-    assert cio._float_array(native[0]) == cio._render_value(native[0].tolist())
+    assert cio._float_matrix(native) == cio._render_value(native.tolist())
     for value in NON_FINITE:
-        assert cio._float_array(np.array([0.5, value])) is None
-    with mock.patch.object(cio, "_float_array", wraps=cio._float_array) as spy:
+        assert cio._float_matrix(np.array([[0.5, value]])) is None
+    with mock.patch.object(cio, "_float_matrix", wraps=cio._float_matrix) as spy:
         cio.dump_json({"big": native.astype(">f8"), "f4": native.astype(np.float32),
-                       "empty": native[:0], "cube": native[None], "0-d": np.array(0.5)})
+                       "empty": native[:0], "cube": native[None], "0-d": np.array(0.5),
+                       "vector": native[0]})
     spy.assert_not_called()
 
 
 def test_latent_sidecar_renders_without_a_per_cell_list():
-    """The latent sidecar of a 2000 x 100 system: its float64 arrays are
+    """The latent sidecar of a 2000 x 100 system: its float64 matrices are
     rendered from their distinct values by one join each, which peaks at
     about 2.0 times the text, against 3.8 through ``.tolist()``."""
     config = GenerativeConfig(seed=1, n_authors=100, papers_per_author=20, n_cited=100,
@@ -298,7 +299,8 @@ def _cli_outputs(tmp_path):
     cit = _write_json(tmp_path / "cites.json",
                       {"papers": [p["id"] for p in papers], "cites": cites})
     for name, text in [("refs", "A\nB\n"), ("intext", "A\nB\nC\n"),
-                       ("jt", "Cited work | Section | Knowledge flowed\nA | S | x\nD | S | y\n")]:
+                       ("jt", "Cited work | Section | Knowledge flowed\nA | S | x\nD | S | y\n"
+                              "A | S | z\n")]:
         (tmp_path / f"{name}.txt").write_text(text)
     out = tmp_path / "out"
     out.mkdir()

@@ -911,6 +911,31 @@ class TestErrorsNameTheirFile:
         assert f"error: {config}: base_error must be in [0, 1]" in err
 
     @pytest.mark.parametrize(
+        "command, fields, message",
+        [("simulate", dict(n_authors=2, papers_per_author=2, n_cited=3,
+                           bias_shift=[0.1, 0.2, 1e308]),
+          "flip probabilities leave [0, 1] on 7/12 cells"),
+         ("retest", {}, "occasion decomposition needs replicates >= 2")],
+        ids=["flip-probabilities", "one-replicate"],
+    )
+    def test_config_rejected_by_the_sampler(self, tmp_path, capsys, command, fields,
+                                            message):
+        """A config that is built but whose values the sampler rejects."""
+        config = write_config(tmp_path, seed=3, **fields)
+        code, err = run_with_error([command, "--config", config], capsys)
+        assert code == 1
+        assert err == f"error: {config}: {message}\n"
+
+    def test_duplicate_similarity_id(self, tmp_path, capsys):
+        papers = [{"id": "a", "timestamp": 0}, {"id": "a", "timestamp": 1}]
+        sim, cites = write_omission_docs(tmp_path, papers, SCORES)
+        code, err = run_with_error(
+            ["omissions", "--sim", sim, "--citations", cites, "--k", "1"], capsys
+        )
+        assert code == 1
+        assert err == f"error: {sim}: duplicate paper id: 'a'\n"
+
+    @pytest.mark.parametrize(
         "role",
         ["system", "realized", "accurate", "config", "sim", "cites", "refs", "intext", "jt"],
     )

@@ -20,7 +20,12 @@ from citenoise import (
     replicate_decisions,
 )
 from citenoise.cli import run_cli
-from citenoise.errors import InsufficientReplicates, InvalidConfig
+from citenoise.errors import (
+    DimensionMismatch,
+    InsufficientReplicates,
+    InvalidConfig,
+    NonBinaryEntry,
+)
 from citenoise.simulate import MAX_CLAMPED_FRACTION, _sample_latent, _sample_realized
 
 
@@ -380,6 +385,37 @@ class TestDecomposePatternNoise:
         realized, latent = replicate_decisions(cfg(base_error=0.2, replicates=2))
         with pytest.raises(InsufficientReplicates):
             decompose_pattern_noise(realized[:1], latent)
+
+    @pytest.mark.parametrize(
+        "replicate, error, message",
+        [(lambda r: r[:1], DimensionMismatch, r"^realized\[0\] \(1, 5\) vs accurate \(12, 5\)$"),
+         (lambda r: r[0], DimensionMismatch, r"^realized\[0\] must be a 2-D matrix, got ndim=1$"),
+         (lambda r: np.full_like(r, 7), NonBinaryEntry,
+          r"^realized\[0\]\[0\]\[0\] = 7 is not 0 or 1$"),
+         (lambda r: np.zeros((12, 2), np.int8), DimensionMismatch,
+          r"^realized\[0\] \(12, 2\) vs accurate \(12, 5\)$")],
+        ids=["one-row", "one-row-1-d", "sevens", "wrong-shape"],
+    )
+    def test_rejects_a_replicate_that_is_not_a_0_1_matrix_of_its_shape(
+        self, replicate, error, message
+    ):
+        """Each replicate is checked as it is read: without the check, a
+        single row broadcast over all rows, and a matrix of 7s gave (0, 0)."""
+        realized, latent = replicate_decisions(
+            cfg(n_authors=3, papers_per_author=4, n_cited=5, base_error=0.2,
+                interaction_spread=0.2, replicates=3)
+        )
+        with pytest.raises(error, match=message):
+            decompose_pattern_noise([replicate(r) for r in realized], latent)
+
+    def test_names_the_replicate_at_fault(self):
+        realized, latent = replicate_decisions(cfg(n_cited=2, base_error=0.2, replicates=3))
+        bad = (*realized[:2], realized[2] * 2 + 1)
+        with pytest.raises(NonBinaryEntry, match=r"^realized\[2\]\[0\]"):
+            decompose_pattern_noise(bad, latent)
+        assert decompose_pattern_noise(
+            [r.astype(np.int64).tolist() for r in realized], latent
+        ) == decompose_pattern_noise(realized, latent)
 
     def test_constant_pi_gives_vanishing_stable(self):
         reps = replicate_decisions(
