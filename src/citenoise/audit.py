@@ -8,7 +8,6 @@ table, a per-citation ledger in a pipe-delimited text format.
 
 import math
 import numbers
-import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -22,7 +21,7 @@ from .errors import (
     NonSymmetric,
     ParseError,
 )
-from .model import _as_binary_matrix, _check_unique
+from .model import _as_binary_matrix, _as_integer, _check_unique
 
 SYMMETRY_TOL = 1e-9
 JT_HEADER = ("cited work", "section", "knowledge flowed")
@@ -105,9 +104,7 @@ def omission_indicator(sim, citations, k):
     (a numpy one too) but a bool.
     """
     try:
-        if isinstance(k, bool):
-            raise TypeError
-        k = operator.index(k)  # numpy's bool has no __index__
+        k = _as_integer(k)
     except TypeError:
         raise ValueError(f"k must be an integer, got {k!r}") from None
     if k < 1:

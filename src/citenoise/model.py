@@ -108,16 +108,12 @@ def _check_unique(ids, what):
         seen.add(x)
 
 
-def _author_index(pid, ai):
-    """``ai`` as an int; a bool, float or string is not an author index."""
-    try:
-        if isinstance(ai, bool):
-            raise TypeError
-        return operator.index(ai)
-    except TypeError:
-        raise UnknownAuthor(
-            f"citing paper {pid!r} references author index {ai!r}, not an integer"
-        ) from None
+def _as_integer(value):
+    """``value`` as an int; TypeError for a bool or a value without
+    ``__index__`` (numpy's bool has none). Callers raise their own error."""
+    if isinstance(value, bool):
+        raise TypeError("a bool is not an integer")
+    return operator.index(value)
 
 
 def build_system(author_ids, citing_papers, cited_paper_ids, realized, accurate):
@@ -127,7 +123,15 @@ def build_system(author_ids, citing_papers, cited_paper_ids, realized, accurate)
     index into ``author_ids`` is an int, not a bool. Matrices are row-major J x K.
     """
     author_ids = tuple(author_ids)
-    citing_papers = tuple((pid, _author_index(pid, ai)) for pid, ai in citing_papers)
+    papers = []
+    for pid, ai in citing_papers:
+        try:
+            papers.append((pid, _as_integer(ai)))
+        except TypeError:
+            raise UnknownAuthor(
+                f"citing paper {pid!r} references author index {ai!r}, not an integer"
+            ) from None
+    citing_papers = tuple(papers)
     cited_paper_ids = tuple(cited_paper_ids)
 
     if not citing_papers or not cited_paper_ids or not author_ids:

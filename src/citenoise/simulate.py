@@ -19,11 +19,19 @@ the same flip probabilities with fresh randomness.
 All randomness flows from ``seed`` through spawned substreams: one for A,
 one for the latent offsets, one per replicate. Raising ``replicates``
 never perturbs earlier replicates.
+
+``bias_recovery`` samples one system per trial from the trial's own child
+seed, but counts its realized citations straight from the draws and the two
+per-author tables, without building pi or the realized matrix. Its trials
+run on one thread per CPU the process may use, and their biases are summed
+in trial order, so the result is the same on any number of CPUs.
 """
 
+import collections
+import functools
 import math
 import numbers
-import operator
+import os
 import sys
 from dataclasses import dataclass
 
@@ -31,7 +39,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InsufficientReplicates, InvalidConfig
 from .metrics import _bias, _grouped
-from .model import _as_binary_matrix, build_system
+from .model import _as_binary_matrix, _as_integer, build_system
 
 # Fraction of cells whose unclamped flip probability may leave [0, 1]
 # before the configuration is rejected as analytically unusable.
@@ -156,36 +164,47 @@ class LatentTruth:
         return _grouped(self.flip_probs, self.author_of_paper, len(self.author_offsets))
 
 
-def _sample_latent(config, rng_accurate, rng_latent):
+def _latent_tables(config, rng_accurate, rng_latent):
+    """Draw A, e and u, and tabulate pi per author.
+
+    Returns ``(accurate, ones, hi, lo, (e, u, b))``: the int8 J x K accurate
+    matrix, its per-author column counts (n_authors x K), and the flip
+    probabilities of A=0 and A=1 cells as n_authors x 1 x K tables, clamped
+    to [0, 1]. InvalidConfig if more than MAX_CLAMPED_FRACTION of the cells
+    needed the clamp.
+    """
     n, ppa, k = config.n_authors, config.papers_per_author, config.n_cited
     accurate = (rng_accurate.random((n * ppa, k)) < config.should_cite_prob).astype(np.int8)
 
     e = rng_latent.uniform(-config.level_spread, config.level_spread, n)
     u = rng_latent.uniform(-config.interaction_spread, config.interaction_spread, (n, k))
     b = config.bias_offsets()
-    author_of_paper = np.repeat(np.arange(n), ppa)
 
     # pi depends only on the author, the cited paper and A: one n x K table
     # per value of A, each cell summed in the per-cell formula's order
     # (x + -b is x - b).
     base = (config.base_error + e)[:, None] + u
     hi, lo = base + b, base - b  # A = 0, A = 1
-    by_author = accurate.reshape(n, ppa, k)
-    ones = by_author.sum(axis=1)
+    ones = accurate.reshape(n, ppa, k).sum(axis=1)
     clamped = int((ones * _outside(lo)).sum() + ((ppa - ones) * _outside(hi)).sum())
     if clamped > MAX_CLAMPED_FRACTION * accurate.size:
         raise InvalidConfig(
             f"flip probabilities leave [0, 1] on {clamped}/{accurate.size} cells"
         )
-    pi = np.where(
-        by_author, np.clip(lo, 0.0, 1.0)[:, None], np.clip(hi, 0.0, 1.0)[:, None]
-    ).reshape(accurate.shape)
+    hi, lo = (np.clip(x, 0.0, 1.0)[:, None] for x in (hi, lo))
+    return accurate, ones, hi, lo, (e, u, b)
+
+
+def _sample_latent(config, rng_accurate, rng_latent):
+    accurate, _, hi, lo, (e, u, b) = _latent_tables(config, rng_accurate, rng_latent)
+    n, ppa = config.n_authors, config.papers_per_author
+    pi = np.where(accurate.reshape(n, ppa, -1), lo, hi).reshape(accurate.shape)
     return LatentTruth(
         author_offsets=e,
         interaction_offsets=u,
         bias_offsets=b,
         flip_probs=pi,
-        author_of_paper=author_of_paper,
+        author_of_paper=np.repeat(np.arange(n), ppa),
         accurate=accurate,
     )
 
@@ -281,12 +300,10 @@ def decompose_pattern_noise(realized, latent):
 
 def _integer(name, value):
     """``value`` as an int; InvalidConfig for a bool or a non-integral value."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)  # numpy's bool has no __index__
-        except TypeError:
-            pass
-    raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+    try:
+        return _as_integer(value)
+    except TypeError:
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_trials(trials):
@@ -332,15 +349,65 @@ def expected_bias(config):
 
 def bias_recovery(config, trials):
     """Average measured bias over generated systems vs the analytic value;
-    ``trials`` is an integer as in :func:`aggregation_curve`."""
+    ``trials`` is an integer as in :func:`aggregation_curve`.
+
+    The trials run on one thread per CPU the process may use; each has its
+    own seed and the biases are summed in trial order, so the result does
+    not depend on how many CPUs there are.
+    """
     trials = _check_trials(trials)
     parent = np.random.SeedSequence(config.seed)
+    # One child at a time: the spawn keys (0,), (1,), ... of spawn(trials).
+    seeds = (parent.spawn(1)[0] for _ in range(trials))
     total = 0.0
-    for _ in range(trials):
-        # One child at a time: the spawn keys (0,), (1,), ... of spawn(trials).
-        rng_a, rng_l, rng_flip = map(np.random.default_rng, parent.spawn(1)[0].spawn(3))
-        latent = _sample_latent(config, rng_a, rng_l)
-        realized = _sample_realized(latent, rng_flip)
-        # Binary and J x K by construction: the column counts need no system.
-        total += _bias(realized.sum(axis=0), latent.accurate.sum(axis=0)).bias
+    for bias in _in_order(functools.partial(_trial_bias, config), seeds, _usable_cpus()):
+        total += bias
     return expected_bias(config), total / trials
+
+
+def _trial_bias(config, seed):
+    """The TC-EC gap of the system that :func:`generate_system` samples from
+    ``seed``, taken from column counts: neither pi nor the realized matrix is
+    built, and the draws are the same, so every count is too."""
+    rng_a, rng_l, rng_flip = map(np.random.default_rng, seed.spawn(3))
+    accurate, ones, hi, lo, _ = _latent_tables(config, rng_a, rng_l)
+    a = accurate.reshape(config.n_authors, -1, config.n_cited).view(bool)
+    v = rng_flip.random(a.shape)
+    # A cell flips where v < pi: an A=0 cell is then cited, an A=1 cell not.
+    # On bools, x > a is x & ~a without a negated copy of a.
+    ec = ones.sum(axis=0)
+    tc = ec + ((v < hi) > a).sum(axis=(0, 1)) - ((v < lo) & a).sum(axis=(0, 1))
+    return _bias(tc, ec).bias
+
+
+def _usable_cpus():
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _in_order(fn, items, workers):
+    """``map(fn, items)``, run on ``workers`` threads when there are more than
+    one: ``items`` is drawn in order on the calling thread, at most
+    2 * workers calls are in flight, and results come in order. An error
+    propagates when its result is reached; the calls not yet started are
+    then cancelled and the threads joined."""
+    if workers == 1:
+        yield from map(fn, items)
+        return
+    # Imported here, not with the module: the import costs several ms.
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(workers)
+    pending = collections.deque()
+    try:
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)

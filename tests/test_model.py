@@ -253,3 +253,23 @@ class TestClassifyDecision:
                         DecisionClass.INCORRECT_NEGATIVE,
                     )
                     assert bool(e[j, k]) == incorrect
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, 1.5, np.float64(1.0), "1", None])
+def test_one_integer_rule_keeps_each_callers_error(bad):
+    # model._as_integer decides; each caller raises its own error type.
+    from citenoise import GenerativeConfig, bias_recovery
+    from citenoise.errors import InvalidConfig
+
+    authors, cited, matrix = ["a", "b"], ["c"], [[0], [0]]
+    message = f"citing paper 'q' references author index {bad!r}, not an integer"
+    with pytest.raises(UnknownAuthor) as err:
+        build_system(authors, [("p", 0), ("q", bad)], cited, matrix, matrix)
+    assert str(err.value) == message
+    sim = build_similarity(["x", "y"], [0, 1], [[1.0, 0.5], [0.5, 1.0]])
+    with pytest.raises(ValueError) as err:
+        omission_indicator(sim, [[0, 0], [0, 0]], bad)
+    assert str(err.value) == f"k must be an integer, got {bad!r}"
+    with pytest.raises(InvalidConfig) as err:
+        bias_recovery(GenerativeConfig(seed=1), bad)
+    assert str(err.value) == f"trials must be an integer, got {bad!r}"

@@ -1,7 +1,12 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -19,6 +24,7 @@ from citenoise import (
     generate_system,
     replicate_decisions,
 )
+from citenoise import simulate
 from citenoise.cli import run_cli
 from citenoise.errors import (
     DimensionMismatch,
@@ -32,6 +38,11 @@ from citenoise.simulate import MAX_CLAMPED_FRACTION, _sample_latent, _sample_rea
 def cfg(**kw):
     kw.setdefault("seed", 1234)
     return GenerativeConfig(**kw)
+
+
+def on_cpus(n):
+    """Patch the CPU-count source so that the process may run on ``n`` CPUs."""
+    return mock.patch("os.sched_getaffinity", lambda pid: set(range(n)), create=True)
 
 
 def traced_peak(call):
@@ -598,16 +609,28 @@ class TestBiasRecovery:
         assert estimated > 0
 
     def test_child_seeds_are_spawned_as_the_trials_run(self):
-        # Stopped in the first trial: nothing was spawned for the other 49,999.
+        # Stopped in the first trial: of the other 49,999 children, no more
+        # were spawned than the in-flight window holds, one serially and two
+        # per thread on several CPUs.
         class Stop(Exception):
             pass
+
+        class Counting(np.random.SeedSequence):
+            def spawn(self, n_children):
+                if not self.spawn_key:  # the root, not a trial's own seed
+                    spawned.append(n_children)
+                return super().spawn(n_children)
 
         def run():
             with pytest.raises(Stop):
                 bias_recovery(cfg(), trials=50_000)
 
-        with mock.patch("citenoise.simulate._sample_latent", side_effect=Stop):
-            assert traced_peak(run) < 2 * 2**20
+        for cpus, window in ((1, 1), (4, 8)):
+            spawned = []
+            with on_cpus(cpus), mock.patch("numpy.random.SeedSequence", Counting), \
+                    mock.patch("citenoise.simulate._latent_tables", side_effect=Stop):
+                assert traced_peak(run) < 2 * 2**20
+            assert 1 <= sum(spawned) <= window
 
     @pytest.mark.parametrize("trials", [150.0, True, np.bool_(True), np.float64(100)])
     def test_rejects_non_integer_trials(self, trials):
@@ -645,22 +668,146 @@ class TestBiasRecovery:
 
     def test_bias_recovery_equals_bias_of_built_systems(self):
         # Each trial takes the TC-EC gap from column counts without building
-        # a system; the average must equal citation_bias on validated systems
-        # sampled from the same streams.
+        # pi, the realized matrix or a system; the average must equal
+        # citation_bias on validated systems sampled from the same streams,
+        # bit for bit, however many CPUs run the trials.
         from citenoise import build_system, citation_bias
 
-        config = cfg(n_authors=3, papers_per_author=4, n_cited=5,
-                     base_error=0.2, bias_shift=0.05, seed=19)
-        total = 0.0
-        for child in np.random.SeedSequence(config.seed).spawn(100):
-            seq_a, seq_l, seq_flip = (np.random.default_rng(s) for s in child.spawn(3))
-            latent = _sample_latent(config, seq_a, seq_l)
-            system = build_system(
-                [f"a{i}" for i in range(config.n_authors)],
-                [(f"p{j}", a) for j, a in enumerate(latent.author_of_paper)],
-                [f"c{k}" for k in range(config.n_cited)],
-                _sample_realized(latent, seq_flip),
-                latent.accurate,
+        for bias_shift in (0.05, (0.1, -0.05, 0.0, -0.1, 0.03)):
+            config = cfg(n_authors=3, papers_per_author=4, n_cited=5,
+                         base_error=0.2, bias_shift=bias_shift, seed=19)
+            total = 0.0
+            for child in np.random.SeedSequence(config.seed).spawn(100):
+                seq_a, seq_l, seq_flip = (np.random.default_rng(s) for s in child.spawn(3))
+                latent = _sample_latent(config, seq_a, seq_l)
+                system = build_system(
+                    [f"a{i}" for i in range(config.n_authors)],
+                    [(f"p{j}", a) for j, a in enumerate(latent.author_of_paper)],
+                    [f"c{k}" for k in range(config.n_cited)],
+                    _sample_realized(latent, seq_flip),
+                    latent.accurate,
+                )
+                total += citation_bias(system).bias
+            for cpus in (1, 2, 4):
+                with on_cpus(cpus):
+                    got = bias_recovery(config, 100)
+                assert got == (expected_bias(config), total / 100)
+
+    @given(sampler_configs())
+    @example(CLAMPED[0])
+    @example(CLAMPED[1])
+    def test_trial_counts_match_the_realized_matrix(self, config):
+        # The same draws as generate_system, compared with the clamped
+        # tables in place of pi: the same gap, or the same InvalidConfig.
+        from citenoise import citation_bias
+
+        try:
+            system, _ = generate_system(config)
+        except InvalidConfig as exc:
+            with pytest.raises(InvalidConfig) as err:
+                simulate._trial_bias(config, np.random.SeedSequence(config.seed))
+            assert str(err.value) == str(exc)
+            return
+        got = simulate._trial_bias(config, np.random.SeedSequence(config.seed))
+        assert got == citation_bias(system).bias
+
+    def test_cpu_count_falls_back_to_os_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert simulate._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undetermined
+        assert simulate._usable_cpus() == 1
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_trials_run_on_threads_and_add_up_in_order(self, cpus):
+        # Trial 0 finishes last; its 2**53 absorbs each later 1.0 only when
+        # it is added first.
+        threads = set()
+
+        def trial(config, seed):
+            threads.add(threading.current_thread())
+            if seed.spawn_key == (0,):
+                threading.Event().wait(0.05)
+                return 2.0**53
+            return 1.0
+
+        with on_cpus(cpus), mock.patch("citenoise.simulate._trial_bias", trial):
+            _, measured = bias_recovery(cfg(), 100)
+        assert measured == 2.0**53 / 100
+        if cpus == 1:
+            assert threads == {threading.current_thread()}
+        else:
+            assert threading.current_thread() not in threads
+            assert 1 < len(threads) <= cpus
+
+    def test_clamp_error_is_trial_zeros_on_any_cpu_count(self):
+        # Every trial fails the clamp check, each with its own count; the
+        # one raised is trial 0's, as when the trials run in turn.
+        config = cfg(n_authors=20, papers_per_author=5, n_cited=10,
+                     base_error=0.0, level_spread=0.3, seed=3)
+        messages = []
+        for child in np.random.SeedSequence(config.seed).spawn(2):
+            with pytest.raises(InvalidConfig) as err:
+                _sample_latent(config, *map(np.random.default_rng, child.spawn(2)))
+            messages.append(str(err.value))
+        assert messages[0] != messages[1]
+        before = threading.active_count()
+        for cpus in (1, 4):
+            with on_cpus(cpus), pytest.raises(InvalidConfig) as err:
+                bias_recovery(config, 100)
+            assert str(err.value) == messages[0]
+            assert threading.active_count() == before
+
+    def test_an_error_in_a_later_trial_propagates(self):
+        class Boom(Exception):
+            pass
+
+        trial_bias = simulate._trial_bias
+
+        def failing(config, seed):
+            if seed.spawn_key == (57,):
+                raise Boom
+            return trial_bias(config, seed)
+
+        config = cfg(n_authors=2, papers_per_author=2, n_cited=3, base_error=0.2)
+        before = threading.active_count()
+        for cpus in (1, 4):
+            with on_cpus(cpus), mock.patch("citenoise.simulate._trial_bias", failing), \
+                    pytest.raises(Boom):
+                bias_recovery(config, 100)
+            assert threading.active_count() == before
+
+    def test_a_trial_holds_one_float_matrix(self):
+        # The flip draws are the one J x K float64 array a trial holds; a
+        # trial through _sample_latent and _sample_realized also built pi.
+        config = cfg(seed=1, n_authors=100, papers_per_author=20, n_cited=100,
+                     base_error=0.15, level_spread=0.05, interaction_spread=0.03,
+                     bias_shift=0.02, should_cite_prob=0.3)
+
+        def trial():
+            simulate._trial_bias(config, np.random.SeedSequence(1))
+
+        def through_pi():
+            rng_a, rng_l, rng_flip = map(
+                np.random.default_rng, np.random.SeedSequence(1).spawn(3)
             )
-            total += citation_bias(system).bias
-        assert bias_recovery(config, 100) == (expected_bias(config), total / 100)
+            latent = _sample_latent(config, rng_a, rng_l)
+            _sample_realized(latent, rng_flip).sum(axis=0)
+
+        trial(), through_pi()  # numpy's one-off allocations on first use
+        bound = 2 * config.n_citing * config.n_cited * 8
+        assert traced_peak(trial) < bound < traced_peak(through_pi)
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    # concurrent.futures adds several ms to the import; bias_recovery
+    # imports it only when it first runs trials on threads.
+    src = str(Path(simulate.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, path]))}
+    code = "import sys, citenoise, citenoise.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
