@@ -89,9 +89,6 @@ class OmissionFlags:
         pairs = zip(map(ids, self.citing.tolist()), map(ids, self.earlier.tolist()))
         return dict(zip(pairs, self.flag.tolist()))
 
-    def flagged_pairs(self):
-        return [pair for pair, v in self.flags.items() if v == 1]
-
 
 def omission_indicator(sim, citations, k):
     """Flag missing citations to each paper's k most similar predecessors.
@@ -178,8 +175,9 @@ def parse_justification_table(text):
     entries = []
     section = ""
     seen_first_row = False
-    for line_number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r")
+    # A line ends at LF, CRLF or CR only, as in a file opened in text mode.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_number, line in enumerate(lines, start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = _split_row(line)

@@ -21,7 +21,7 @@ from .simulate import (
     aggregation_curve,
     decompose_pattern_noise,
     generate_system,
-    iter_replicates,
+    replicate_decisions,
 )
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(GenerativeConfig)}
@@ -74,7 +74,7 @@ def _cmd_simulate(args):
 def _cmd_retest(args):
     config = _load_config(args.config, args.seed)
     with cio._naming(args.config):  # replicates >= 2, flip probabilities in [0, 1]
-        realized, latent = iter_replicates(config)
+        realized, latent = replicate_decisions(config)
     stable, occasion = decompose_pattern_noise(realized, latent)
     return cio.dump_json(cio.retest_to_document(config.replicates, stable, occasion))
 

@@ -502,7 +502,7 @@ def load_omission_inputs(sim_path, cites_path):
         sim = build_similarity(ids, stamps, sim_doc["scores"])
     with _naming(cites_path, "citation document"):
         cite_doc = _read_json_matrices(cites_path, ("cites",))
-        if list(cite_doc["papers"]) != ids:
+        if _strings(cite_doc["papers"], "'papers'") != ids:
             raise ParseError("citation document paper ids disagree with similarity")
         return sim, _binary_cells(cite_doc, "cites")
 

@@ -16,19 +16,23 @@ A, and then spread over the J x K cells.
 Occasion noise is the Bernoulli sampling itself; repeated occasions reuse
 the same flip probabilities with fresh randomness.
 
-All randomness flows from ``seed`` through spawned substreams: one for A,
-one for the latent offsets, one per replicate. Raising ``replicates``
-never perturbs earlier replicates.
+All randomness flows from ``seed`` by one spawn rule (:func:`_streams`):
+the children (0,), (1,), (2,), ... of ``SeedSequence(seed)``, each spawned
+when it is drawn, give A, the latent offsets, and then one occasion each.
+``generate_system`` takes the first occasion and ``replicate_decisions`` the
+first T, so raising ``replicates`` never perturbs earlier replicates.
 
-``bias_recovery`` samples one system per trial from the trial's own child
-seed, but counts its realized citations straight from the draws and the two
-per-author tables, without building pi or the realized matrix. Its trials
-run on one thread per CPU the process may use, and their biases are summed
-in trial order, so the result is the same on any number of CPUs.
+``bias_recovery`` samples trial i's system by the same rule from child (i,)
+of the seed, but counts its realized citations straight from the draws and
+the two per-author tables, without building pi or the realized matrix. Its
+trials run on one thread per CPU the process may use, and their biases are
+summed in trial order, so the result is the same on any number of CPUs.
+``aggregation_curve`` draws from the seed's own stream.
 """
 
 import collections
 import functools
+import itertools
 import math
 import numbers
 import os
@@ -217,12 +221,19 @@ def _sample_realized(latent, rng):
     return latent.accurate ^ (rng.random(latent.flip_probs.shape) < latent.flip_probs)
 
 
+def _streams(seed):
+    """The generator of A, the generator of the latent offsets, and an
+    iterator of flip generators, one per occasion: the children (0,), (1,),
+    (2,), ... of the SeedSequence ``seed``, each spawned when it is drawn."""
+    rngs = (np.random.default_rng(seed.spawn(1)[0]) for _ in itertools.count())
+    return next(rngs), next(rngs), rngs
+
+
 def generate_system(config):
     """Sample one (system, latent truth) pair; deterministic in the seed."""
-    children = np.random.SeedSequence(config.seed).spawn(3)
-    rng_a, rng_l, rng_flip = map(np.random.default_rng, children)
+    rng_a, rng_l, occasions = _streams(np.random.SeedSequence(config.seed))
     latent = _sample_latent(config, rng_a, rng_l)
-    realized = _sample_realized(latent, rng_flip)
+    realized = _sample_realized(latent, next(occasions))
     system = build_system(
         [f"author-{i + 1}" for i in range(config.n_authors)],
         [(f"paper-{j + 1}", int(a)) for j, a in enumerate(latent.author_of_paper)],
@@ -233,42 +244,31 @@ def generate_system(config):
     return system, latent
 
 
-def iter_replicates(config):
-    """``(realized, latent)`` as :func:`replicate_decisions` returns it, except
-    that ``realized`` is an iterator that draws each of the T matrices as it
-    is consumed, so that no more than one is held and nothing is sized by T.
-    """
-    if config.replicates < 2:
-        raise InvalidConfig("occasion decomposition needs replicates >= 2")
-    parent = np.random.SeedSequence(config.seed)
-    latent = _sample_latent(config, *map(np.random.default_rng, parent.spawn(2)))
-    # One child at a time: the spawn keys (2,), (3,), ... of spawn(2 + T).
-    realized = (
-        _sample_realized(latent, np.random.default_rng(parent.spawn(1)[0]))
-        for _ in range(config.replicates)
-    )
-    return realized, latent
-
-
 def replicate_decisions(config):
     """Sample T realized matrices over one shared latent truth.
 
-    Returns ``(realized, latent)``: a tuple of T int8 J x K matrices and the
-    :class:`LatentTruth` they share, which holds the accurate matrix and the
-    author labels.
+    Returns ``(realized, latent)``: an iterator that draws each of the T int8
+    J x K matrices as it is consumed, so that no more than one is held
+    (``tuple(realized)`` holds all T), and the :class:`LatentTruth` they
+    share, which holds the accurate matrix and the author labels. The latent
+    truth is sampled, and ``replicates < 2`` rejected, by the call itself.
     """
-    realized, latent = iter_replicates(config)
-    return tuple(realized), latent
+    if config.replicates < 2:
+        raise InvalidConfig("occasion decomposition needs replicates >= 2")
+    rng_a, rng_l, occasions = _streams(np.random.SeedSequence(config.seed))
+    latent = _sample_latent(config, rng_a, rng_l)
+    occasions = itertools.islice(occasions, config.replicates)
+    return (_sample_realized(latent, rng) for rng in occasions), latent
 
 
 def decompose_pattern_noise(realized, latent):
     """Split test-retest pattern variance into stable and occasion parts.
 
     ``realized`` is any iterable of T matrices over the accurate matrix and
-    author labels of ``latent``, as :func:`replicate_decisions` or
-    :func:`iter_replicates` returns them; each is read once, in turn, and
-    must be a 0/1 matrix of the accurate matrix's shape (NonBinaryEntry or
-    DimensionMismatch naming ``realized[i]`` otherwise).
+    author labels of ``latent``, as :func:`replicate_decisions` returns them;
+    each is read once, in turn, and must be a 0/1 matrix of the accurate
+    matrix's shape (NonBinaryEntry or DimensionMismatch naming
+    ``realized[i]`` otherwise).
 
     Works at the decision-cell level: for each cell the error indicator is
     observed across T occasions. The occasion component is the mean
@@ -357,7 +357,6 @@ def bias_recovery(config, trials):
     """
     trials = _check_trials(trials)
     parent = np.random.SeedSequence(config.seed)
-    # One child at a time: the spawn keys (0,), (1,), ... of spawn(trials).
     seeds = (parent.spawn(1)[0] for _ in range(trials))
     total = 0.0
     for bias in _in_order(functools.partial(_trial_bias, config), seeds, _usable_cpus()):
@@ -369,10 +368,10 @@ def _trial_bias(config, seed):
     """The TC-EC gap of the system that :func:`generate_system` samples from
     ``seed``, taken from column counts: neither pi nor the realized matrix is
     built, and the draws are the same, so every count is too."""
-    rng_a, rng_l, rng_flip = map(np.random.default_rng, seed.spawn(3))
+    rng_a, rng_l, occasions = _streams(seed)
     accurate, ones, hi, lo, _ = _latent_tables(config, rng_a, rng_l)
     a = accurate.reshape(config.n_authors, -1, config.n_cited).view(bool)
-    v = rng_flip.random(a.shape)
+    v = next(occasions).random(a.shape)
     # A cell flips where v < pi: an A=0 cell is then cited, an A=1 cell not.
     # On bools, x > a is x & ~a without a negated copy of a.
     ec = ones.sum(axis=0)

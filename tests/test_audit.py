@@ -74,7 +74,7 @@ class TestOmissionIndicator:
         )
         cites = [[0, 0, 0], [1, 0, 0], [1, 1, 0]]
         flags = omission_indicator(sim, cites, k=2)
-        assert flags.flagged_pairs() == []
+        assert [pair for pair, v in flags.flags.items() if v == 1] == []
 
     def test_single_missing_citation_flagged(self):
         sim = build_similarity(["old", "new"], [0, 1], [[0, 0.9], [0.9, 0]])
@@ -146,7 +146,7 @@ class TestOmissionIndicator:
             n = len(sim.paper_ids)
             flags = omission_indicator(sim, np.zeros((n, n), dtype=int), 2)
             assert list(flags.flags) == sorted(flags.flags)
-            pairs = flags.flagged_pairs()
+            pairs = [pair for pair, v in flags.flags.items() if v == 1]
             assert pairs and pairs == sorted(pairs)
 
     @pytest.mark.parametrize(
@@ -168,7 +168,7 @@ class TestOmissionIndicator:
     def test_flag_arrays_invariant(self, rng):
         """Equal-length read-only int arrays indexing paper_ids, each ordered
         pair of (later, earlier) paper once, in (citing id, earlier id) order;
-        .flags and flagged_pairs() are views of the arrays."""
+        .flags is a view of the arrays."""
         tied = build_similarity(["c", "a", "b"], [1, 1, 0], np.full((3, 3), 0.5))
         for sim in (tied, random_similarity(rng, 12), build_similarity([], [], np.zeros((0, 0)))):
             n = len(sim.paper_ids)
@@ -193,7 +193,6 @@ class TestOmissionIndicator:
             flags = dict(zip(pairs, result.flag.tolist()))
             assert result.flags == flags
             assert list(result.flags) == pairs
-            assert result.flagged_pairs() == [p for p, v in flags.items() if v == 1]
             assert result == result
             assert result != omission_indicator(sim, np.zeros((n, n), dtype=int), 3)
 
@@ -259,6 +258,26 @@ class TestJustificationTable:
         )
         assert len(entries) == 1
         assert entries[0].section == "Intro"
+
+    @pytest.mark.parametrize(
+        "char", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+    )
+    def test_lines_end_only_at_lf_crlf_or_cr(self, char):
+        """Other characters that str.splitlines() splits at stay inside a row:
+        split there, the last row below gave a phantom key "Jones" and no
+        error, and the second row an error on line 3."""
+        for end in ("\n", "\r\n", "\r"):
+            rows = ["Cited work | Section | Knowledge flowed",
+                    f"Lee 2019 | Intro | a{char}b",
+                    f"Kim 2018 | builds on{char}",
+                    f"Smith 2020 | Intro | builds on the model{char}Jones | see also"]
+            entries = parse_justification_table(end.join(rows[:3]) + end)
+            assert [(e.key, e.reason, e.line_number) for e in entries] == [
+                ("Lee 2019", f"a{char}b", 2), ("Kim 2018", "builds on", 3),
+            ]
+            with pytest.raises(MalformedRow, match="got 4") as exc:
+                parse_justification_table(end.join(rows))
+            assert exc.value.line_number == 4
 
     def test_round_trip(self):
         entries = parse_justification_table(TABLE4_INTRO)

@@ -775,6 +775,17 @@ class TestOmissionInputs:
         assert "Traceback" not in err
         assert f"error: {cites}: citations (2, 3) vs 2 papers" in err
 
+    @pytest.mark.parametrize("papers", ["ab", {"a": 1, "b": 2}, ["a", 2]],
+                             ids=["string", "object", "int-id"])
+    def test_citation_papers_must_be_a_list_of_strings(self, tmp_path, capsys, papers):
+        """A string or an object whose list() is the similarity ids was accepted."""
+        sim, cites = write_omission_docs(tmp_path, ORDERED, SCORES)
+        cites.write_text(json.dumps({"papers": papers, "cites": [[0, 0], [1, 0]]}))
+        code, err = self.run(capsys, sim, cites)
+        assert code == 1
+        assert err == (f"error: {cites}: malformed citation document: "
+                       "'papers' must be a list of strings\n")
+
     def test_string_timestamps_accepted(self, tmp_path, capsys):
         papers = [{"id": "b", "timestamp": "2021-03"}, {"id": "a", "timestamp": "2020-01"}]
         code, _ = self.run(capsys, *write_omission_docs(tmp_path, papers, SCORES))
@@ -915,8 +926,11 @@ class TestErrorsNameTheirFile:
         [("simulate", dict(n_authors=2, papers_per_author=2, n_cited=3,
                            bias_shift=[0.1, 0.2, 1e308]),
           "flip probabilities leave [0, 1] on 7/12 cells"),
-         ("retest", {}, "occasion decomposition needs replicates >= 2")],
-        ids=["flip-probabilities", "one-replicate"],
+         ("retest", {}, "occasion decomposition needs replicates >= 2"),
+         ("retest", dict(n_authors=2, papers_per_author=2, n_cited=3,
+                         bias_shift=[0.1, 0.2, 1e308], replicates=2),
+          "flip probabilities leave [0, 1] on 7/12 cells")],
+        ids=["flip-probabilities", "one-replicate", "retest-flip-probabilities"],
     )
     def test_config_rejected_by_the_sampler(self, tmp_path, capsys, command, fields,
                                             message):

@@ -356,10 +356,48 @@ class TestReplicateDecisions:
         children = np.random.SeedSequence(config.seed).spawn(2 + config.replicates)
         latent = _sample_latent(config, *map(np.random.default_rng, children[:2]))
         realized, got = replicate_decisions(config)
+        realized = tuple(realized)
         assert np.array_equal(got.flip_probs, latent.flip_probs)
         assert len(realized) == config.replicates
         for r, child in zip(realized, children[2:]):
             assert np.array_equal(r, _sample_realized(latent, np.random.default_rng(child)))
+
+    @given(sampler_configs(), st.integers(2, 4))
+    def test_occasion_t_draws_from_child_2_plus_t(self, config, t):
+        config = dataclasses.replace(config, replicates=t)
+        try:
+            realized, latent = replicate_decisions(config)
+        except InvalidConfig:
+            return
+        children = np.random.SeedSequence(config.seed).spawn(2 + t)
+        for r, child in zip(realized, children[2:], strict=True):
+            expected = _sample_realized(latent, np.random.default_rng(child))
+            assert r.dtype == np.int8
+            assert r.tobytes() == expected.tobytes()
+
+    @given(sampler_configs())
+    def test_generate_system_realizes_the_first_occasion(self, config):
+        try:
+            system, latent = generate_system(config)
+        except InvalidConfig:
+            return
+        realized, shared = replicate_decisions(dataclasses.replace(config, replicates=2))
+        assert system.realized.tobytes() == next(realized).tobytes()
+        assert latent.flip_probs.tobytes() == shared.flip_probs.tobytes()
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [(cfg(replicates=1), r"^occasion decomposition needs replicates >= 2$"),
+         (cfg(n_authors=2, papers_per_author=2, n_cited=2, base_error=0.5,
+              bias_shift=(0.6, 0.0), replicates=2),
+          r"^flip probabilities leave \[0, 1\] on 4/8 cells$")],
+        ids=["one-replicate", "flip-probabilities"],
+    )
+    def test_rejects_a_config_when_called_not_when_drawn(self, config, message):
+        with mock.patch.object(simulate, "_sample_realized") as sample:
+            with pytest.raises(InvalidConfig, match=message):
+                replicate_decisions(config)
+        sample.assert_not_called()
 
     def test_retest_spawns_each_replicate_as_it_runs(self, tmp_path):
         # replicates 10**9: spawning them all up front grows memory one small
@@ -395,7 +433,7 @@ class TestDecomposePatternNoise:
     def test_requires_two_occasions(self):
         realized, latent = replicate_decisions(cfg(base_error=0.2, replicates=2))
         with pytest.raises(InsufficientReplicates):
-            decompose_pattern_noise(realized[:1], latent)
+            decompose_pattern_noise(tuple(realized)[:1], latent)
 
     @pytest.mark.parametrize(
         "replicate, error, message",
@@ -421,6 +459,7 @@ class TestDecomposePatternNoise:
 
     def test_names_the_replicate_at_fault(self):
         realized, latent = replicate_decisions(cfg(n_cited=2, base_error=0.2, replicates=3))
+        realized = tuple(realized)
         bad = (*realized[:2], realized[2] * 2 + 1)
         with pytest.raises(NonBinaryEntry, match=r"^realized\[2\]\[0\]"):
             decompose_pattern_noise(bad, latent)
@@ -459,6 +498,7 @@ class TestDecomposePatternNoise:
             cfg(n_authors=10, papers_per_author=4, n_cited=8, base_error=0.3,
                 interaction_spread=0.15, replicates=50, seed=3)
         )
+        realized = tuple(realized)
         stable, occasion = decompose_pattern_noise(realized, latent)
         errors = np.stack([np.abs(r - latent.accurate) for r in realized]).astype(float)
         total = 0.0
@@ -505,16 +545,18 @@ class TestGroupedKernelOracle:
 
     @pytest.mark.parametrize("config", CONFIGS)
     def test_decomposition_matches_stacked_formula(self, config, rng):
-        reps = replicate_decisions(cfg(**config))
+        realized, latent = replicate_decisions(cfg(**config))
+        reps = tuple(realized), latent
         for case in (reps, shuffled_rows(*reps, rng)):
             got = decompose_pattern_noise(*case)
             assert got == pytest.approx(stacked_decomposition(*case), abs=1e-12)
 
     def test_identical_replicates_match_stacked_formula(self):
-        reps = replicate_decisions(
+        realized, latent = replicate_decisions(
             cfg(n_authors=3, papers_per_author=8, n_cited=4, base_error=1.0,
                 replicates=3)
         )
+        reps = tuple(realized), latent
         assert decompose_pattern_noise(*reps) == (0.0, 0.0)
         assert stacked_decomposition(*reps) == (0.0, 0.0)
 
