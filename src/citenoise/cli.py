@@ -16,13 +16,7 @@ from .audit import audit_justification, omission_indicator
 from .errors import CitenoiseError, ParseError
 from .fixtures import builtin_fixture, fixture_names
 from .metrics import analyze
-from .simulate import (
-    GenerativeConfig,
-    aggregation_curve,
-    decompose_pattern_noise,
-    generate_system,
-    replicate_decisions,
-)
+from .simulate import GenerativeConfig, _retest_sigmas, aggregation_curve, generate_system
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(GenerativeConfig)}
 
@@ -74,8 +68,7 @@ def _cmd_simulate(args):
 def _cmd_retest(args):
     config = _load_config(args.config, args.seed)
     with cio._naming(args.config):  # replicates >= 2, flip probabilities in [0, 1]
-        realized, latent = replicate_decisions(config)
-    stable, occasion = decompose_pattern_noise(realized, latent)
+        stable, occasion = _retest_sigmas(config)
     return cio.dump_json(cio.retest_to_document(config.replicates, stable, occasion))
 
 

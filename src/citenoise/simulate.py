@@ -22,6 +22,11 @@ when it is drawn, give A, the latent offsets, and then one occasion each.
 ``generate_system`` takes the first occasion and ``replicate_decisions`` the
 first T, so raising ``replicates`` never perturbs earlier replicates.
 
+The CLI's ``retest`` draws the same T occasions but builds no replicate: it
+counts each cell's errors straight from the flip draws, on one thread per
+CPU the process may use, and its output does not depend on how many there
+are.
+
 ``bias_recovery`` samples trial i's system by the same rule from child (i,)
 of the seed, but counts its realized citations straight from the draws and
 the two per-author tables, without building pi or the realized matrix. Its
@@ -123,6 +128,10 @@ class GenerativeConfig:
                 raise InvalidConfig(f"{name} must be at most {_MAX_SPREAD!r}")
         if self.replicates < 1:
             raise InvalidConfig("replicates must be >= 1")
+        if self.replicates > _MAX_SIZE:
+            raise InvalidConfig(
+                f"replicates must be at most {_MAX_SIZE}, got {self.replicates}"
+            )
         if type(shift) is tuple and len(shift) != self.n_cited:
             raise InvalidConfig(
                 f"bias_shift must be scalar or length {self.n_cited}"
@@ -244,6 +253,17 @@ def generate_system(config):
     return system, latent
 
 
+def _replicates(config):
+    """The latent truth of ``config``'s replicates and an iterator of its T
+    occasion generators; InvalidConfig for ``replicates < 2`` or a rejected
+    latent truth."""
+    if config.replicates < 2:
+        raise InvalidConfig("occasion decomposition needs replicates >= 2")
+    rng_a, rng_l, occasions = _streams(np.random.SeedSequence(config.seed))
+    latent = _sample_latent(config, rng_a, rng_l)
+    return latent, itertools.islice(occasions, config.replicates)
+
+
 def replicate_decisions(config):
     """Sample T realized matrices over one shared latent truth.
 
@@ -253,11 +273,7 @@ def replicate_decisions(config):
     share, which holds the accurate matrix and the author labels. The latent
     truth is sampled, and ``replicates < 2`` rejected, by the call itself.
     """
-    if config.replicates < 2:
-        raise InvalidConfig("occasion decomposition needs replicates >= 2")
-    rng_a, rng_l, occasions = _streams(np.random.SeedSequence(config.seed))
-    latent = _sample_latent(config, rng_a, rng_l)
-    occasions = itertools.islice(occasions, config.replicates)
+    latent, occasions = _replicates(config)
     return (_sample_realized(latent, rng) for rng in occasions), latent
 
 
@@ -276,10 +292,6 @@ def decompose_pattern_noise(realized, latent):
     the total is the variance of all indicators around their author's
     pooled mean; the stable component is the nonnegative remainder.
     """
-    # Errors are binary, so each cell's error count s over the T occasions is
-    # sufficient: the squared deviations of its T indicators around their
-    # mean sum to s (T - s) / T, and the kernel's within-author term on s is
-    # T^2 times that of the cell means around their author's mean.
     s = np.zeros(latent.accurate.shape, dtype=np.int64)
     t = 0
     for t, r in enumerate(realized, 1):
@@ -289,6 +301,49 @@ def decompose_pattern_noise(realized, latent):
         s += r != latent.accurate
     if t < 2:
         raise InsufficientReplicates("need at least 2 occasions")
+    return _sigmas(s, t, latent)
+
+
+# Occasions one call of _retest_sigmas' counter draws: a uint8 count of
+# this many 0/1 flips cannot overflow.
+_CHUNK = 8
+
+
+def _retest_sigmas(config):
+    """``decompose_pattern_noise(*replicate_decisions(config))``, counted
+    straight from the flip draws.
+
+    A realized cell differs from A exactly where its flip draw v < pi, so
+    each cell's error count is the number of occasions with v < pi: no
+    realized matrix is built or checked. The chunks of occasions are
+    counted on threads, and integer counts add up the same in any order.
+    """
+    latent, occasions = _replicates(config)
+    pi = latent.flip_probs
+
+    def count(rngs):
+        c = np.zeros(pi.shape, dtype=np.uint8)
+        for rng in rngs:
+            c += rng.random(pi.shape) < pi
+        return c
+
+    chunks = iter(lambda: tuple(itertools.islice(occasions, _CHUNK)), ())
+    s = np.zeros(pi.shape, dtype=np.int64)
+    for c in _in_order(count, chunks, _usable_cpus()):
+        s += c
+    # A Python int, as in decompose_pattern_noise: t * t * s.size cannot wrap.
+    return _sigmas(s, int(config.replicates), latent)
+
+
+def _sigmas(s, t, latent):
+    """The (stable, occasion) stds from each cell's error count ``s`` over
+    ``t`` occasions.
+
+    Errors are binary, so each cell's count is sufficient: the squared
+    deviations of its T indicators around their mean sum to s (T - s) / T,
+    and the kernel's within-author term on s is T^2 times that of the cell
+    means around their author's mean.
+    """
     spread = float((s * (t - s)).sum())
     occasion_var = spread / (t * (t - 1) * s.size)
     _, _, within = _grouped(s, latent.author_of_paper, len(latent.author_offsets))
@@ -373,9 +428,12 @@ def _trial_bias(config, seed):
     a = accurate.reshape(config.n_authors, -1, config.n_cited).view(bool)
     v = next(occasions).random(a.shape)
     # A cell flips where v < pi: an A=0 cell is then cited, an A=1 cell not.
-    # On bools, x > a is x & ~a without a negated copy of a.
+    # On bools, x > a is x & ~a without a negated copy of a; the gain of
+    # each cell, +1, 0 or -1, is summed once.
+    g = ((v < hi) > a).view(np.int8)
+    g -= ((v < lo) & a).view(np.int8)
     ec = ones.sum(axis=0)
-    tc = ec + ((v < hi) > a).sum(axis=(0, 1)) - ((v < lo) & a).sum(axis=(0, 1))
+    tc = ec + g.sum(axis=(0, 1))
     return _bias(tc, ec).bias
 
 

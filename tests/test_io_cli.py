@@ -921,6 +921,13 @@ class TestErrorsNameTheirFile:
         assert code == 1
         assert f"error: {config}: base_error must be in [0, 1]" in err
 
+    def test_replicates_beyond_the_largest_size(self, tmp_path, capsys):
+        config = write_config(tmp_path, seed=1, replicates=2**70)
+        code, err = run_with_error(["retest", "--config", config], capsys)
+        assert code == 1
+        assert err == (f"error: {config}: replicates must be at most "
+                       f"{np.iinfo(np.intp).max}, got {2**70}\n")
+
     @pytest.mark.parametrize(
         "command, fields, message",
         [("simulate", dict(n_authors=2, papers_per_author=2, n_cited=3,

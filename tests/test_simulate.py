@@ -72,6 +72,13 @@ class TestConfigValidation:
             cfg(n_authors=2**40, papers_per_author=2**40)
         assert cfg(n_authors=2**31, papers_per_author=2**31, n_cited=1).n_citing == 2**62
 
+    def test_rejects_replicates_beyond_intp(self):
+        largest = np.iinfo(np.intp).max
+        with pytest.raises(InvalidConfig, match=rf"^replicates must be at most {largest}, "
+                                                rf"got {2**70}$"):
+            cfg(replicates=2**70)
+        assert cfg(replicates=largest).replicates == largest
+
     def test_rejects_mismatched_bias_vector(self):
         with pytest.raises(InvalidConfig):
             cfg(n_cited=3, bias_shift=(0.1, 0.2))
@@ -164,21 +171,30 @@ def streams(seed, n):
 
 
 unit = st.floats(0.0, 1.0)
-shift = st.floats(-0.6, 0.6)
 
 
 @st.composite
 def sampler_configs(draw):
+    """Configs whose every flip probability lies in [0, 1], so that the
+    sampler accepts each: the half-widths of e, u and b share the room that
+    base_error leaves to 0 and to 1, less an allowance for the rounding of
+    their sum."""
     k = draw(st.integers(1, 6))
+    base_error = draw(unit)
+    room = min(base_error, 1.0 - base_error) * (1 - 1e-9)
+    level = draw(st.floats(0.0, room))
+    interaction = draw(st.floats(0.0, room - level))
+    width = room - level - interaction
+    shift = st.floats(-width, width)
     return cfg(
         seed=draw(st.integers(0, 2**32)),
         n_authors=draw(st.integers(1, 5)),
         papers_per_author=draw(st.integers(1, 5)),
         n_cited=k,
         should_cite_prob=draw(unit),
-        base_error=draw(unit),
-        level_spread=draw(st.floats(0.0, 0.5)),
-        interaction_spread=draw(st.floats(0.0, 0.5)),
+        base_error=base_error,
+        level_spread=level,
+        interaction_spread=interaction,
         bias_shift=draw(shift | st.tuples(*[shift] * k)),
     )
 
@@ -243,10 +259,7 @@ class TestSamplerOracle:
 
     @given(sampler_configs())
     def test_realized_matches_where(self, config):
-        try:
-            latent = _sample_latent(config, *streams(config.seed, 2))
-        except InvalidConfig:
-            return
+        latent = _sample_latent(config, *streams(config.seed, 2))
         rng_new, rng_old = (np.random.default_rng(config.seed) for _ in range(2))
         flips = rng_old.random(latent.flip_probs.shape) < latent.flip_probs
         expected = np.where(flips, 1 - latent.accurate, latent.accurate).astype(np.int8)
@@ -365,10 +378,7 @@ class TestReplicateDecisions:
     @given(sampler_configs(), st.integers(2, 4))
     def test_occasion_t_draws_from_child_2_plus_t(self, config, t):
         config = dataclasses.replace(config, replicates=t)
-        try:
-            realized, latent = replicate_decisions(config)
-        except InvalidConfig:
-            return
+        realized, latent = replicate_decisions(config)
         children = np.random.SeedSequence(config.seed).spawn(2 + t)
         for r, child in zip(realized, children[2:], strict=True):
             expected = _sample_realized(latent, np.random.default_rng(child))
@@ -377,10 +387,7 @@ class TestReplicateDecisions:
 
     @given(sampler_configs())
     def test_generate_system_realizes_the_first_occasion(self, config):
-        try:
-            system, latent = generate_system(config)
-        except InvalidConfig:
-            return
+        system, latent = generate_system(config)
         realized, shared = replicate_decisions(dataclasses.replace(config, replicates=2))
         assert system.realized.tobytes() == next(realized).tobytes()
         assert latent.flip_probs.tobytes() == shared.flip_probs.tobytes()
@@ -507,6 +514,75 @@ class TestDecomposePatternNoise:
             total += block[0].size * ((block - block.mean()) ** 2).mean()
         total /= errors.shape[1] * errors.shape[2]
         assert stable**2 + occasion**2 == pytest.approx(total, abs=1e-9)
+
+
+class TestRetestCount:
+    """The CLI's retest counts each cell's errors straight from the flip
+    draws, in chunks of occasions on threads, and must give the floats of the
+    checked public path."""
+
+    @given(sampler_configs(), st.integers(2, 20))
+    @example(CLAMPED[0], 3)
+    # Chunks of 8 occasions: one and a part, two, two and one.
+    @example(cfg(n_authors=4, papers_per_author=3, n_cited=5, base_error=0.3,
+                 interaction_spread=0.2), 9)
+    @example(cfg(n_authors=4, papers_per_author=3, n_cited=5, base_error=0.3,
+                 interaction_spread=0.2), 16)
+    @example(cfg(n_authors=4, papers_per_author=3, n_cited=5, base_error=0.3,
+                 interaction_spread=0.2), 17)
+    def test_equals_the_checked_decomposition_on_any_cpu_count(self, config, t):
+        config = dataclasses.replace(config, replicates=t)
+        expected = decompose_pattern_noise(*replicate_decisions(config))
+        for cpus in (1, 2, 4):
+            with mock.patch.object(simulate, "_usable_cpus", lambda: cpus):
+                assert simulate._retest_sigmas(config) == expected
+
+    def test_an_error_in_a_workers_draw_propagates(self):
+        # The 13th occasion (chunk 1) fails; the count runs on the calling
+        # thread on one CPU and on pool threads, all joined, on several.
+        class Boom(Exception):
+            pass
+
+        made = []
+        threads = set()
+        default_rng = np.random.default_rng
+
+        class Failing:
+            def random(self, shape):
+                threads.add(threading.current_thread())
+                raise Boom
+
+        def rng(seed):
+            made.append(seed)
+            return Failing() if len(made) == 2 + 13 else default_rng(seed)
+
+        config = cfg(n_authors=2, papers_per_author=2, n_cited=3, base_error=0.2,
+                     replicates=40)
+        before = threading.active_count()
+        for cpus in (1, 4):
+            made.clear()
+            threads.clear()
+            with on_cpus(cpus), mock.patch("numpy.random.default_rng", rng), \
+                    pytest.raises(Boom):
+                simulate._retest_sigmas(config)
+            assert threading.active_count() == before
+            on_caller = threads == {threading.current_thread()}
+            assert on_caller == (cpus == 1)
+
+    def test_memory_does_not_grow_with_the_replicates(self):
+        # The counts of the chunks in flight, not one matrix per occasion:
+        # T = 100 int8 replicates alone would take 20 MB here.
+        config = cfg(seed=1, n_authors=100, papers_per_author=20, n_cited=100,
+                     base_error=0.15, level_spread=0.05, interaction_spread=0.03,
+                     bias_shift=0.02, should_cite_prob=0.3)
+        few, many = (dataclasses.replace(config, replicates=t) for t in (10, 100))
+
+        def peak(config):
+            return traced_peak(lambda: simulate._retest_sigmas(config))
+
+        with on_cpus(2):
+            peak(few)  # numpy's and the thread pool's one-off allocations
+            assert peak(many) < 1.25 * peak(few)
 
 
 def stacked_decomposition(realized, latent):
@@ -738,6 +814,8 @@ class TestBiasRecovery:
     @given(sampler_configs())
     @example(CLAMPED[0])
     @example(CLAMPED[1])
+    @example(cfg(n_authors=2, papers_per_author=2, n_cited=3, base_error=0.0,
+                 bias_shift=0.3))  # rejected: every A = 1 cell leaves [0, 1]
     def test_trial_counts_match_the_realized_matrix(self, config):
         # The same draws as generate_system, compared with the clamped
         # tables in place of pi: the same gap, or the same InvalidConfig.
