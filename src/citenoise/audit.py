@@ -27,8 +27,10 @@ SYMMETRY_TOL = 1e-9
 JT_HEADER = ("cited work", "section", "knowledge flowed")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimilarityMatrix:
+    """Compared by identity (eq=False): ``==`` on arrays is ambiguous."""
+
     paper_ids: tuple
     timestamps: tuple
     scores: np.ndarray

@@ -246,10 +246,9 @@ _NUMBER_TYPES = frozenset((int, float))
 
 
 def _scalars(values):
-    """The JSON texts of the items of a non-empty list of strings, or of exact
-    ints and finite floats, in order; None for any other value."""
-    if type(values) is not list or not values:
-        return None
+    """The JSON texts of the items of the non-empty list ``values`` if they
+    are all strings, or all exact ints and finite floats, in order; None
+    otherwise."""
     kinds = set(map(type, values))
     if kinds <= _NUMBER_TYPES:
         if float not in kinds:

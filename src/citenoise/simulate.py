@@ -16,28 +16,26 @@ A, and then spread over the J x K cells.
 Occasion noise is the Bernoulli sampling itself; repeated occasions reuse
 the same flip probabilities with fresh randomness.
 
-All randomness flows from ``seed`` by one spawn rule (:func:`_streams`):
-the children (0,), (1,), (2,), ... of ``SeedSequence(seed)``, each spawned
-when it is drawn, give A, the latent offsets, and then one occasion each.
-``generate_system`` takes the first occasion and ``replicate_decisions`` the
-first T, so raising ``replicates`` never perturbs earlier replicates.
+All randomness flows from ``seed`` by one key rule: ``_rng(seed, *key)`` is
+``default_rng(SeedSequence(seed, spawn_key=key))``, bit for bit the child
+``key`` that ``SeedSequence(seed).spawn`` gives, but built from the key
+alone. Key (0,) draws A, (1,) the latent offsets, and (2 + t,) occasion t;
+trial i of ``bias_recovery`` uses (i, 0), (i, 1) and (i, 2). Threads are
+handed keys and build their own generators. ``generate_system`` takes the
+first occasion and ``replicate_decisions`` the first T, so raising
+``replicates`` never perturbs earlier replicates.
 
 The CLI's ``retest`` draws the same T occasions but builds no replicate: it
-counts each cell's errors straight from the flip draws, on one thread per
-CPU the process may use, and its output does not depend on how many there
-are.
-
-``bias_recovery`` samples trial i's system by the same rule from child (i,)
-of the seed, but counts its realized citations straight from the draws and
-the two per-author tables, without building pi or the realized matrix. Its
-trials run on one thread per CPU the process may use, and their biases are
-summed in trial order, so the result is the same on any number of CPUs.
+counts each cell's errors straight from the flip draws. ``bias_recovery``
+counts each trial's realized citations straight from the draws and the two
+per-author tables, without building pi or the realized matrix. Both run on
+one thread per CPU the process may use and add up in order, so neither
+result depends on how many there are.
 ``aggregation_curve`` draws from the seed's own stream.
 """
 
 import collections
 import functools
-import itertools
 import math
 import numbers
 import os
@@ -58,8 +56,10 @@ MAX_CLAMPED_FRACTION = 0.01
 _MAX_SPREAD = sys.float_info.max / 2
 # rng.binomial takes its n as a C int64.
 _MAX_SAMPLE_SIZE = np.iinfo(np.int64).max
-# The largest array size numpy can express: a bound on J x K and on trials.
+# The largest count numpy can index: a bound on replicates.
 _MAX_SIZE = np.iinfo(np.intp).max
+# The most 8-byte items an array may hold: a bound on J x K and on trials.
+_MAX_ITEMS = _MAX_SIZE // 8
 
 _INT_FIELDS = ("seed", "n_authors", "papers_per_author", "n_cited", "replicates")
 _REAL_FIELDS = ("should_cite_prob", "base_error", "level_spread", "interaction_spread")
@@ -112,19 +112,20 @@ class GenerativeConfig:
             raise InvalidConfig("seed must be nonnegative")
         if self.n_authors < 1 or self.papers_per_author < 1 or self.n_cited < 1:
             raise InvalidConfig("system dimensions must be positive")
-        if self.n_citing * self.n_cited > _MAX_SIZE:
+        if self.n_citing * self.n_cited > _MAX_ITEMS:
             raise InvalidConfig(
                 f"system dimensions n_authors * papers_per_author * n_cited must be "
-                f"at most {_MAX_SIZE}"
+                f"at most {_MAX_ITEMS}"
             )
         if not 0.0 <= self.should_cite_prob <= 1.0:
             raise InvalidConfig("should_cite_prob must be in [0, 1]")
         if not 0.0 <= self.base_error <= 1.0:
             raise InvalidConfig("base_error must be in [0, 1]")
-        if self.level_spread < 0 or self.interaction_spread < 0:
-            raise InvalidConfig("spreads must be nonnegative")
         for name in ("level_spread", "interaction_spread"):
-            if float(getattr(self, name)) > _MAX_SPREAD:
+            spread = float(getattr(self, name))
+            if spread < 0:
+                raise InvalidConfig(f"{name} must be nonnegative")
+            if spread > _MAX_SPREAD:
                 raise InvalidConfig(f"{name} must be at most {_MAX_SPREAD!r}")
         if self.replicates < 1:
             raise InvalidConfig("replicates must be >= 1")
@@ -148,9 +149,10 @@ class GenerativeConfig:
         return self.n_authors * self.papers_per_author
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatentTruth:
-    """Ground-truth propensities behind one generated system."""
+    """Ground-truth propensities behind one generated system, compared by
+    identity (eq=False): ``==`` on arrays is ambiguous."""
 
     author_offsets: np.ndarray  # shape (n_authors,)
     interaction_offsets: np.ndarray  # shape (n_authors, K)
@@ -230,19 +232,15 @@ def _sample_realized(latent, rng):
     return latent.accurate ^ (rng.random(latent.flip_probs.shape) < latent.flip_probs)
 
 
-def _streams(seed):
-    """The generator of A, the generator of the latent offsets, and an
-    iterator of flip generators, one per occasion: the children (0,), (1,),
-    (2,), ... of the SeedSequence ``seed``, each spawned when it is drawn."""
-    rngs = (np.random.default_rng(seed.spawn(1)[0]) for _ in itertools.count())
-    return next(rngs), next(rngs), rngs
+def _rng(seed, *key):
+    """The generator of ``key``: child ``key`` of ``SeedSequence(seed)``."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 def generate_system(config):
     """Sample one (system, latent truth) pair; deterministic in the seed."""
-    rng_a, rng_l, occasions = _streams(np.random.SeedSequence(config.seed))
-    latent = _sample_latent(config, rng_a, rng_l)
-    realized = _sample_realized(latent, next(occasions))
+    latent = _sample_latent(config, _rng(config.seed, 0), _rng(config.seed, 1))
+    realized = _sample_realized(latent, _rng(config.seed, 2))
     system = build_system(
         [f"author-{i + 1}" for i in range(config.n_authors)],
         [(f"paper-{j + 1}", int(a)) for j, a in enumerate(latent.author_of_paper)],
@@ -254,14 +252,13 @@ def generate_system(config):
 
 
 def _replicates(config):
-    """The latent truth of ``config``'s replicates and an iterator of its T
-    occasion generators; InvalidConfig for ``replicates < 2`` or a rejected
-    latent truth."""
+    """The latent truth of ``config``'s replicates and the range of its T
+    occasion keys; InvalidConfig for ``replicates < 2`` or a rejected latent
+    truth."""
     if config.replicates < 2:
         raise InvalidConfig("occasion decomposition needs replicates >= 2")
-    rng_a, rng_l, occasions = _streams(np.random.SeedSequence(config.seed))
-    latent = _sample_latent(config, rng_a, rng_l)
-    return latent, itertools.islice(occasions, config.replicates)
+    latent = _sample_latent(config, _rng(config.seed, 0), _rng(config.seed, 1))
+    return latent, range(2, 2 + config.replicates)
 
 
 def replicate_decisions(config):
@@ -274,7 +271,7 @@ def replicate_decisions(config):
     truth is sampled, and ``replicates < 2`` rejected, by the call itself.
     """
     latent, occasions = _replicates(config)
-    return (_sample_realized(latent, rng) for rng in occasions), latent
+    return (_sample_realized(latent, _rng(config.seed, t)) for t in occasions), latent
 
 
 def decompose_pattern_noise(realized, latent):
@@ -321,18 +318,17 @@ def _retest_sigmas(config):
     latent, occasions = _replicates(config)
     pi = latent.flip_probs
 
-    def count(rngs):
+    def count(keys):
         c = np.zeros(pi.shape, dtype=np.uint8)
-        for rng in rngs:
-            c += rng.random(pi.shape) < pi
+        for t in keys:
+            c += _rng(config.seed, t).random(pi.shape) < pi
         return c
 
-    chunks = iter(lambda: tuple(itertools.islice(occasions, _CHUNK)), ())
+    chunks = (occasions[i : i + _CHUNK] for i in range(0, len(occasions), _CHUNK))
     s = np.zeros(pi.shape, dtype=np.int64)
-    for c in _in_order(count, chunks, _usable_cpus()):
+    for c in _in_order(count, chunks):
         s += c
-    # A Python int, as in decompose_pattern_noise: t * t * s.size cannot wrap.
-    return _sigmas(s, int(config.replicates), latent)
+    return _sigmas(s, len(occasions), latent)
 
 
 def _sigmas(s, t, latent):
@@ -365,8 +361,8 @@ def _check_trials(trials):
     trials = _integer("trials", trials)
     if trials < 100:
         raise InvalidConfig("need at least 100 trials")
-    if trials > _MAX_SIZE:
-        raise InvalidConfig(f"trials must be at most {_MAX_SIZE}, got {trials}")
+    if trials > _MAX_ITEMS:
+        raise InvalidConfig(f"trials must be at most {_MAX_ITEMS}, got {trials}")
     return trials
 
 
@@ -406,27 +402,27 @@ def bias_recovery(config, trials):
     """Average measured bias over generated systems vs the analytic value;
     ``trials`` is an integer as in :func:`aggregation_curve`.
 
-    The trials run on one thread per CPU the process may use; each has its
-    own seed and the biases are summed in trial order, so the result does
-    not depend on how many CPUs there are.
+    The trials run on one thread per CPU the process may use; trial i draws
+    from its own keys (i, ...) and the biases are summed in trial order, so
+    the result does not depend on how many CPUs there are.
     """
     trials = _check_trials(trials)
-    parent = np.random.SeedSequence(config.seed)
-    seeds = (parent.spawn(1)[0] for _ in range(trials))
     total = 0.0
-    for bias in _in_order(functools.partial(_trial_bias, config), seeds, _usable_cpus()):
+    keys = ((i,) for i in range(trials))
+    for bias in _in_order(functools.partial(_trial_bias, config), keys):
         total += bias
     return expected_bias(config), total / trials
 
 
-def _trial_bias(config, seed):
-    """The TC-EC gap of the system that :func:`generate_system` samples from
-    ``seed``, taken from column counts: neither pi nor the realized matrix is
-    built, and the draws are the same, so every count is too."""
-    rng_a, rng_l, occasions = _streams(seed)
+def _trial_bias(config, key):
+    """The TC-EC gap of the system that :func:`generate_system` would sample
+    from the keys under the prefix ``key`` (``()`` gives its own), taken from
+    column counts: neither pi nor the realized matrix is built, and the draws
+    are the same, so every count is too."""
+    rng_a, rng_l, rng_flip = (_rng(config.seed, *key, j) for j in range(3))
     accurate, ones, hi, lo, _ = _latent_tables(config, rng_a, rng_l)
     a = accurate.reshape(config.n_authors, -1, config.n_cited).view(bool)
-    v = next(occasions).random(a.shape)
+    v = rng_flip.random(a.shape)
     # A cell flips where v < pi: an A=0 cell is then cited, an A=1 cell not.
     # On bools, x > a is x & ~a without a negated copy of a; the gain of
     # each cell, +1, 0 or -1, is summed once.
@@ -445,12 +441,13 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _in_order(fn, items, workers):
-    """``map(fn, items)``, run on ``workers`` threads when there are more than
-    one: ``items`` is drawn in order on the calling thread, at most
-    2 * workers calls are in flight, and results come in order. An error
+def _in_order(fn, items):
+    """``map(fn, items)``, run on one thread per usable CPU when there are
+    more than one: ``items`` is drawn in order on the calling thread, at most
+    two calls per thread are in flight, and results come in order. An error
     propagates when its result is reached; the calls not yet started are
     then cancelled and the threads joined."""
+    workers = _usable_cpus()
     if workers == 1:
         yield from map(fn, items)
         return

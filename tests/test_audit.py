@@ -60,10 +60,19 @@ class TestSimilarityMatrix:
     def test_rejects_bad_shape(self):
         with pytest.raises(DimensionMismatch):
             build_similarity(["a", "b"], [0, 1], [[0.0]])
+        with pytest.raises(DimensionMismatch, match=r"^one timestamp per paper id required$"):
+            build_similarity(["a", "b"], [0], [[0, 0.5], [0.5, 0]])
 
     def test_rejects_out_of_range_scores(self):
         with pytest.raises(DimensionMismatch):
             build_similarity(["a", "b"], [0, 1], [[0, 1.5], [1.5, 0]])
+
+    def test_compares_by_identity(self):
+        # Equal-valued matrices compare unequal rather than raise numpy's
+        # "truth value of an array is ambiguous".
+        a, b = (build_similarity(["a", "b"], [0, 1], [[0, 0.5], [0.5, 0]]) for _ in "ab")
+        assert a == a
+        assert a != b
 
 
 class TestOmissionIndicator:

@@ -412,14 +412,26 @@ class TestCli:
         assert f"error: --ns must be a comma-separated integer list: {ns!r}" in err
 
     def test_aggregate_trials_beyond_intp_exits_1(self, tmp_path, capsys):
+        # 2**62 int64 trials fit an intp count but not an array's bytes:
+        # numpy's own "array is too big" error named no bound.
         config = write_config(tmp_path, seed=3)
-        trials = "100000000000000000000"
-        code = run_cli(["aggregate", "--config", config, "--ns", "1", "--trials", trials])
+        largest = np.iinfo(np.intp).max // 8
+        for trials in ("100000000000000000000", str(2**62)):
+            code = run_cli(["aggregate", "--config", config, "--ns", "5", "--trials", trials])
+            out, err = capsys.readouterr()
+            assert code == 1
+            assert out == ""
+            assert err == f"error: trials must be at most {largest}, got {trials}\n"
+
+    def test_analyze_three_inputs_is_usage_error(self, tmp_path, capsys):
+        fx = tmp_path / "t1.json"
+        cio.save_system(builtin_fixture("table1"), fx)
+        code = run_cli(["analyze", "--input", str(fx), str(fx), str(fx)])
         out, err = capsys.readouterr()
-        assert code == 1
+        assert code == 2
         assert out == ""
-        assert "Traceback" not in err
-        assert f"error: trials must be at most {np.iinfo(np.intp).max}, got {trials}" in err
+        assert err == ("error: --input takes one JSON document or a realized/accurate "
+                       "CSV pair\n")
 
     def test_memory_error_exits_1_naming_the_subcommand(self, tmp_path, capsys, monkeypatch):
         def out_of_memory(*args):
@@ -920,6 +932,22 @@ class TestErrorsNameTheirFile:
         code, err = run_with_error(["simulate", "--config", config], capsys)
         assert code == 1
         assert f"error: {config}: base_error must be in [0, 1]" in err
+
+    def test_unknown_config_keys(self, tmp_path, capsys):
+        config = write_config(tmp_path, seed=1, colour="red", n_author=2)
+        code, err = run_with_error(["simulate", "--config", config], capsys)
+        assert code == 1
+        assert err == f"error: {config}: unknown config keys: ['colour', 'n_author']\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "retest"])
+    def test_more_cells_than_an_8_byte_array_can_hold(self, tmp_path, capsys, command):
+        # J x K = 2**62: numpy's own "array is too big" error named no file.
+        config = write_config(tmp_path, seed=1, n_authors=2**62, papers_per_author=1,
+                              n_cited=1, replicates=2)
+        code, err = run_with_error([command, "--config", config], capsys)
+        assert code == 1
+        assert err == (f"error: {config}: system dimensions n_authors * papers_per_author"
+                       f" * n_cited must be at most {np.iinfo(np.intp).max // 8}\n")
 
     def test_replicates_beyond_the_largest_size(self, tmp_path, capsys):
         config = write_config(tmp_path, seed=1, replicates=2**70)

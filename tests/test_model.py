@@ -92,6 +92,11 @@ class TestBuildSystem:
     def test_deterministic_construction(self):
         assert builtin_fixture("table1") == builtin_fixture("table1")
 
+    def test_a_system_never_equals_a_non_system(self):
+        system = builtin_fixture("table1")
+        assert (system == 1) is False
+        assert system != "table1"
+
     def test_matrices_immutable(self):
         s = builtin_fixture("table1")
         with pytest.raises(ValueError):

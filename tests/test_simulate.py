@@ -45,6 +45,29 @@ def on_cpus(n):
     return mock.patch("os.sched_getaffinity", lambda pid: set(range(n)), create=True)
 
 
+class Stop(Exception):
+    pass
+
+
+def recording_rng(keys, real=()):
+    """A stand-in for ``simulate._rng`` that appends each key it is given to
+    ``keys``: a key in ``real`` gets its real generator, any other one a
+    generator whose first draw raises Stop."""
+    rng = simulate._rng
+
+    class Stopping:
+        def random(self, *args):
+            raise Stop
+
+    def recording(seed, *key):
+        keys.append(key)
+        if len(keys) > 1000:  # a loop that builds generators and never draws
+            raise Stop
+        return rng(seed, *key) if key in real else Stopping()
+
+    return recording
+
+
 def traced_peak(call):
     """The peak bytes ``tracemalloc`` sees allocated while ``call()`` runs."""
     tracemalloc.start()
@@ -67,10 +90,16 @@ class TestConfigValidation:
             cfg(base_error=-0.1)
 
     def test_rejects_dimensions_whose_product_overflows(self):
-        # Checked before anything is sized: J x K is 2**80 cells.
-        with pytest.raises(InvalidConfig, match="n_authors \\* papers_per_author \\* n_cited"):
-            cfg(n_authors=2**40, papers_per_author=2**40)
-        assert cfg(n_authors=2**31, papers_per_author=2**31, n_cited=1).n_citing == 2**62
+        # Checked before anything is sized: J x K is 2**80 cells, or 2**62 or
+        # 2**60, more 8-byte items than numpy can size an array for (its own
+        # "array is too big" error named no file).
+        largest = np.iinfo(np.intp).max // 8
+        for dims in ({"n_authors": 2**40, "papers_per_author": 2**40},
+                     {"n_authors": 2**62}, {"n_authors": 2**31, "papers_per_author": 2**29}):
+            with pytest.raises(InvalidConfig, match=rf"n_authors \* papers_per_author \* "
+                                                    rf"n_cited must be at most {largest}$"):
+                cfg(**dims)
+        assert cfg(n_authors=largest).n_citing == largest
 
     def test_rejects_replicates_beyond_intp(self):
         largest = np.iinfo(np.intp).max
@@ -107,6 +136,9 @@ class TestConfigValidation:
             ("level_spread", 1e308),
             ("interaction_spread", 1e308),
             ("bias_shift", np.array(0.1)),
+            ("replicates", 0),
+            ("level_spread", -0.1),
+            pytest.param("base_error", 10**400, id="base_error-10**400"),
         ],
     )
     def test_rejects_wrong_types_and_non_finite(self, field, value):
@@ -319,6 +351,14 @@ class TestGenerateSystem:
         assert latent.flip_probs.shape == (10, 4)
         assert latent.flip_probs.min() >= 0.0 and latent.flip_probs.max() <= 1.0
 
+    def test_latent_truth_compares_by_identity(self):
+        # Equal-valued latent truths compare unequal rather than raise
+        # numpy's "truth value of an array is ambiguous".
+        config = cfg(n_authors=2, papers_per_author=2, n_cited=3, base_error=0.2)
+        (_, a), (_, b) = generate_system(config), generate_system(config)
+        assert a == a
+        assert a != b
+
     def test_noise_shrinks_with_system_size(self):
         # with no injected level/pattern spread, analyze() noise is pure
         # sampling noise and must fall as the system grows
@@ -407,25 +447,23 @@ class TestReplicateDecisions:
         sample.assert_not_called()
 
     def test_retest_spawns_each_replicate_as_it_runs(self, tmp_path):
-        # replicates 10**9: spawning them all up front grows memory one small
-        # object at a time, and no single allocation fails.
-        class Stop(Exception):
-            pass
-
-        spawned = []
-
-        class Recording(np.random.SeedSequence):
-            def spawn(self, n_children):
-                spawned.append(n_children)
-                if n_children > 2 or len(spawned) > 5:
-                    raise Stop
-                return super().spawn(n_children)
-
+        # replicates 10**9, stopped at the first flip draw: besides A's and
+        # the latent offsets' keys, no more occasion keys were requested than
+        # the chunks in flight hold, one serially and two per thread on
+        # several CPUs, so the work before the first result does not grow
+        # with T.
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"seed": 1, "base_error": 0.2, "replicates": 10**9}))
-        with mock.patch.object(np.random, "SeedSequence", Recording), pytest.raises(Stop):
-            run_cli(["retest", "--config", str(config)])
-        assert max(spawned) <= 2
+        for cpus, window in ((1, 1), (4, 8)):
+            keys = []
+            rng = recording_rng(keys, real=((0,), (1,)))
+            with on_cpus(cpus), mock.patch.object(simulate, "_rng", rng), \
+                    pytest.raises(Stop):
+                run_cli(["retest", "--config", str(config)])
+            assert keys[:2] == [(0,), (1,)]
+            occasions = keys[2:]
+            assert (2,) in occasions
+            assert 1 <= len(occasions) <= window * simulate._CHUNK
 
     def test_earlier_replicates_stable_when_adding_more(self):
         base = cfg(n_authors=3, papers_per_author=2, n_cited=4, base_error=0.3, replicates=3)
@@ -538,12 +576,12 @@ class TestRetestCount:
                 assert simulate._retest_sigmas(config) == expected
 
     def test_an_error_in_a_workers_draw_propagates(self):
-        # The 13th occasion (chunk 1) fails; the count runs on the calling
-        # thread on one CPU and on pool threads, all joined, on several.
+        # Occasion 13 (chunk 1), key (2 + 13,), fails; the count runs on the
+        # calling thread on one CPU and on pool threads, all joined, on
+        # several.
         class Boom(Exception):
             pass
 
-        made = []
         threads = set()
         default_rng = np.random.default_rng
 
@@ -553,14 +591,12 @@ class TestRetestCount:
                 raise Boom
 
         def rng(seed):
-            made.append(seed)
-            return Failing() if len(made) == 2 + 13 else default_rng(seed)
+            return Failing() if seed.spawn_key == (2 + 13,) else default_rng(seed)
 
         config = cfg(n_authors=2, papers_per_author=2, n_cited=3, base_error=0.2,
                      replicates=40)
         before = threading.active_count()
         for cpus in (1, 4):
-            made.clear()
             threads.clear()
             with on_cpus(cpus), mock.patch("numpy.random.default_rng", rng), \
                     pytest.raises(Boom):
@@ -727,28 +763,21 @@ class TestBiasRecovery:
         assert estimated > 0
 
     def test_child_seeds_are_spawned_as_the_trials_run(self):
-        # Stopped in the first trial: of the other 49,999 children, no more
-        # were spawned than the in-flight window holds, one serially and two
-        # per thread on several CPUs.
-        class Stop(Exception):
-            pass
-
-        class Counting(np.random.SeedSequence):
-            def spawn(self, n_children):
-                if not self.spawn_key:  # the root, not a trial's own seed
-                    spawned.append(n_children)
-                return super().spawn(n_children)
-
+        # Stopped at the first draw: of the other 49,999 trials, no more
+        # requested their keys (i, 0), (i, 1) and (i, 2) than the in-flight
+        # window holds, one serially and two per thread on several CPUs.
         def run():
             with pytest.raises(Stop):
                 bias_recovery(cfg(), trials=50_000)
 
         for cpus, window in ((1, 1), (4, 8)):
-            spawned = []
-            with on_cpus(cpus), mock.patch("numpy.random.SeedSequence", Counting), \
-                    mock.patch("citenoise.simulate._latent_tables", side_effect=Stop):
+            keys = []
+            with on_cpus(cpus), mock.patch.object(simulate, "_rng", recording_rng(keys)):
                 assert traced_peak(run) < 2 * 2**20
-            assert 1 <= sum(spawned) <= window
+            trials = {key[:1] for key in keys}
+            assert (0,) in trials
+            assert 1 <= len(trials) <= window
+            assert sorted(keys) == sorted(t + (j,) for t in trials for j in range(3))
 
     @pytest.mark.parametrize("trials", [150.0, True, np.bool_(True), np.float64(100)])
     def test_rejects_non_integer_trials(self, trials):
@@ -825,10 +854,10 @@ class TestBiasRecovery:
             system, _ = generate_system(config)
         except InvalidConfig as exc:
             with pytest.raises(InvalidConfig) as err:
-                simulate._trial_bias(config, np.random.SeedSequence(config.seed))
+                simulate._trial_bias(config, ())
             assert str(err.value) == str(exc)
             return
-        got = simulate._trial_bias(config, np.random.SeedSequence(config.seed))
+        got = simulate._trial_bias(config, ())
         assert got == citation_bias(system).bias
 
     def test_cpu_count_falls_back_to_os_cpu_count(self, monkeypatch):
@@ -844,9 +873,9 @@ class TestBiasRecovery:
         # it is added first.
         threads = set()
 
-        def trial(config, seed):
+        def trial(config, key):
             threads.add(threading.current_thread())
-            if seed.spawn_key == (0,):
+            if key == (0,):
                 threading.Event().wait(0.05)
                 return 2.0**53
             return 1.0
@@ -884,10 +913,10 @@ class TestBiasRecovery:
 
         trial_bias = simulate._trial_bias
 
-        def failing(config, seed):
-            if seed.spawn_key == (57,):
+        def failing(config, key):
+            if key == (57,):
                 raise Boom
-            return trial_bias(config, seed)
+            return trial_bias(config, key)
 
         config = cfg(n_authors=2, papers_per_author=2, n_cited=3, base_error=0.2)
         before = threading.active_count()
@@ -905,7 +934,7 @@ class TestBiasRecovery:
                      bias_shift=0.02, should_cite_prob=0.3)
 
         def trial():
-            simulate._trial_bias(config, np.random.SeedSequence(1))
+            simulate._trial_bias(config, ())
 
         def through_pi():
             rng_a, rng_l, rng_flip = map(
