@@ -44,6 +44,7 @@ DIGESTS = {
     "fixtures-table3.json": "e751cb5769964be2176a377c17ab945797c0e696ee01bf33f08eab91c3869d59",
     "latent.json": "1ed0ca2643ca9cedd97c13cc85edfe99fdcbe788c4323ef0ab79b6953c3dedf6",
     "omissions.json": "13155ccbd829c69fdab5cc880d0d0940d3c8efe5005a74fba27f4e53031309b7",
+    "omissions-ties.json": "102804144bf3b3592032d7f3ec6402d3cf5ab98020bb07886fa3eb3de33fbcb9",
     "retest.json": "9609710e326d9be719b701b7be0b8d301b92ec2ccf941ac6b8b4b38d82622f3f",
     "simulate-seed-7.json": "ee317842b29334a22b595d06b054e88cd69080bcf9dd6c08a3815d89a4dd29da",
     "simulate.json": "e7fda6438f7c7f5cb255cfc93321c0f65612528c98951b85e790a3dc27a7cc10",
@@ -71,19 +72,35 @@ def _audit_inputs(tmp, rng):
     (tmp / "jt.txt").write_text("\n".join(rows) + "\n")
 
 
-def _omission_inputs(tmp, rng):
-    n = 40
+def _omission_inputs(tmp, rng, n=40, stamps=None, scores=None, stem=""):
+    """sim{stem}.json and cites{stem}.json of n papers; random scores and
+    small int timestamps unless given."""
     ids = [f"p{i:02d}" for i in range(n)]
-    stamps = rng.integers(0, 15, n).tolist()  # ties, broken by id
-    scores = rng.random((n, n))
-    scores = (scores + scores.T) / 2
-    np.fill_diagonal(scores, 0.0)
-    (tmp / "sim.json").write_text(json.dumps({
+    if stamps is None:
+        stamps = rng.integers(0, 15, n).tolist()  # ties, broken by id
+    if scores is None:
+        scores = rng.random((n, n))
+        scores = (scores + scores.T) / 2
+        np.fill_diagonal(scores, 0.0)
+    (tmp / f"sim{stem}.json").write_text(json.dumps({
         "papers": [{"id": i, "timestamp": t} for i, t in zip(ids, stamps)],
         "scores": scores.tolist(),
     }))
     cites = (rng.random((n, n)) < 0.2).astype(int)
-    (tmp / "cites.json").write_text(json.dumps({"papers": ids, "cites": cites.tolist()}))
+    (tmp / f"cites{stem}.json").write_text(json.dumps({"papers": ids, "cites": cites.tolist()}))
+
+
+def _omission_tie_inputs(tmp, rng):
+    """Scores from {0, 0.5, 1} and timestamps from a pool where ints above
+    2**53 and an int and a float tie or stay apart as Python orders them, so
+    the top-k set of most papers is cut inside a run of ties."""
+    n = 30
+    raw = rng.integers(0, 3, (n, n)) / 2
+    scores = np.maximum(raw, raw.T)
+    np.fill_diagonal(scores, 1.0)
+    pool = [2**53, 2**53 + 1, 2**53 + 2, 1.5, 2, 2.0]
+    stamps = [pool[i] for i in rng.integers(0, len(pool), n).tolist()]
+    _omission_inputs(tmp, rng, n, stamps, scores, "-ties")
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +115,7 @@ def outputs(tmp_path_factory):
     )
     _audit_inputs(tmp, np.random.default_rng(5))
     _omission_inputs(tmp, np.random.default_rng(6))
+    _omission_tie_inputs(tmp, np.random.default_rng(8))
 
     runs = {
         **{f"fixtures-{name}.json": ["fixtures", "--name", name]
@@ -122,11 +140,12 @@ def outputs(tmp_path_factory):
         got[name] = out.read_bytes()
     got["latent.json"] = (tmp / "latent.json").read_bytes()
 
-    out = tmp / "omissions.json"
-    with pytest.warns(UserWarning, match="exceeds"):  # a paper with < k predecessors
-        assert run_cli(["omissions", "--sim", str(tmp / "sim.json"), "--citations",
-                        str(tmp / "cites.json"), "--k", "3", "--out", str(out)]) == 0
-    got["omissions.json"] = out.read_bytes()
+    for stem in ("", "-ties"):
+        out = tmp / f"omissions{stem}.json"
+        with pytest.warns(UserWarning, match="exceeds"):  # a paper with < k predecessors
+            assert run_cli(["omissions", "--sim", str(tmp / f"sim{stem}.json"), "--citations",
+                            str(tmp / f"cites{stem}.json"), "--k", "3", "--out", str(out)]) == 0
+        got[out.name] = out.read_bytes()
 
     for cpus in (1, 2):
         with mock.patch.object(simulate, "_usable_cpus", lambda: cpus):
