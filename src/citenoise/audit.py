@@ -101,6 +101,14 @@ def omission_indicator(sim, citations, k):
     then input order. If k exceeds the number of predecessors, all
     predecessors are used and a warning is emitted. ``k`` is any integer
     (a numpy one too) but a bool.
+
+    Every paper's set is picked at once, with no per-paper loop but the
+    warnings: one n x n float temporary holds the negated scores, with +inf
+    where the column paper does not precede the row paper, and is partitioned
+    in place along each row, so that its k-th column is the row's bound. The
+    candidates, the predecessors that reach their row's bound (about n·k
+    cells, ties at the bound included), are sorted by that order, and each
+    row keeps its first k.
     """
     try:
         k = _as_integer(k)
@@ -121,28 +129,41 @@ def omission_indicator(sim, citations, k):
     # above 2**53 could tie.
     stamp_rank = {t: r for r, t in enumerate(sorted(set(sim.timestamps)))}
     rank = np.array([stamp_rank[t] for t in sim.timestamps], dtype=np.int64)
-    position_by_id = position[by_id]
-    earlier_parts, flag_parts = [], []
-    for j in by_id.tolist():
-        # The predecessors of j, in id order.
-        earlier = by_id[position_by_id < position[j]]
-        if 0 < len(earlier) < k:  # the first paper has no predecessors
+    # Clamped in Python: numpy 1.x compares an int beyond int64 unsafely.
+    kk = min(k, n)
+
+    pred = position[None, :] < position[:, None]  # pred[j, p]: p precedes j
+    key = np.negative(sim.scores)
+    key[~pred] = np.inf
+    if n:
+        key.partition(kk - 1, axis=1)
+    # Each row's k-th smallest key (+inf if it has fewer predecessors); -s <= t
+    # is s >= -t, as negation is exact. When n is 0 the slice is empty.
+    rows, cols = np.nonzero(pred & (sim.scores >= -key[:, kk - 1 : kk]))
+    del key
+    # Most similar first; ties go to the earlier timestamp, then input order.
+    order = np.lexsort((cols, rank[cols], -sim.scores[rows, cols], rows))
+    sizes = np.bincount(rows, minlength=n)
+    in_row = np.arange(len(order)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    keep = order[in_row < kk]
+    top = np.zeros((n, n), dtype=bool)
+    top[rows[keep], cols[keep]] = True
+
+    # The records, in (citing id, earlier id) order.
+    ix = np.ix_(by_id, by_id)
+    before = pred[ix]
+    counts = before.sum(1)
+    for j, m in zip(by_id.tolist(), counts.tolist()):
+        if 0 < m < k:  # the first paper has no predecessors
             warnings.warn(
-                f"k={k} exceeds {len(earlier)} predecessors of {sim.paper_ids[j]!r}; "
+                f"k={k} exceeds {m} predecessors of {sim.paper_ids[j]!r}; "
                 "using all of them",
                 stacklevel=2,
             )
-        # Most similar first; ties go to the earlier timestamp, then input order.
-        top = np.lexsort((earlier, rank[earlier], -sim.scores[j, earlier]))[:k]
-        flag = np.zeros(len(earlier), dtype=np.int8)
-        flag[top] = c[j, earlier[top]] == 0
-        earlier_parts.append(earlier)
-        flag_parts.append(flag)
-    # An empty first part gives each joined array its dtype when n is 0.
     arrays = (
-        np.repeat(by_id, [len(part) for part in earlier_parts]),
-        np.concatenate([by_id[:0], *earlier_parts]),
-        np.concatenate([np.zeros(0, dtype=np.int8), *flag_parts]),
+        np.repeat(by_id, counts),
+        np.broadcast_to(by_id, (n, n))[before],
+        (top[ix] & (c[ix] == 0))[before].view(np.int8),
     )
     for a in arrays:
         a.setflags(write=False)

@@ -8,7 +8,8 @@ their matrices and vectors as they are. JSON outputs are rendered by
 of the document with every array in it as its ``.tolist()``, for every
 JSON-able document, except the ``omissions`` document, which
 :func:`dump_omissions` renders with the same bytes straight from the flag
-arrays, with no per-record dict.
+arrays, with no per-record dict or string: one string per citing paper, and
+one join of them into the text.
 Errors found while an input is loaded name the file: each file is decoded
 as UTF-8, whole, and checked inside :func:`_naming`, which also names the
 file in an error raised by the checks in other modules. Two on-disk system
@@ -490,43 +491,55 @@ def load_omission_inputs(sim_path, cites_path):
     Documents: ``{"papers": [{"id", "timestamp"}, ...], "scores": n x n}``
     and ``{"papers": [the same ids, in order], "cites": n x n}``. Scores are
     JSON numbers and citation entries the JSON integers 0 and 1; strings,
-    ``true``/``false`` and ``0.0`` are rejected.
+    ``true``/``false`` and ``0.0`` are rejected. With no papers, an empty
+    ``scores`` or ``cites`` is the 0 x 0 matrix: ``[]`` has no row to give
+    it a width.
     """
     with _naming(sim_path, "similarity document"):
         sim_doc = read_json(sim_path)
         papers = sim_doc["papers"]
         ids = [p["id"] for p in papers]
-        _check_matrix(sim_doc["scores"], "scores", "number")
+        scores = sim_doc["scores"]
+        _check_matrix(scores, "scores", "number")
         stamps = [p["timestamp"] for p in papers]
-        sim = build_similarity(ids, stamps, sim_doc["scores"])
+        sim = build_similarity(ids, stamps, scores if ids or scores else np.zeros((0, 0)))
     with _naming(cites_path, "citation document"):
         cite_doc = _read_json_matrices(cites_path, ("cites",))
         if _strings(cite_doc["papers"], "'papers'") != ids:
             raise ParseError("citation document paper ids disagree with similarity")
-        return sim, _binary_cells(cite_doc, "cites")
+        cites = _binary_cells(cite_doc, "cites")
+        return sim, cites if ids or len(cites) else np.zeros((0, 0), dtype=np.int8)
 
 
 def dump_omissions(flags, k):
     """The ``omissions`` document of :class:`~citenoise.audit.OmissionFlags`
     as :func:`dump_json` renders it: ``schema_version``, ``k``, then one
     ``{"citing", "earlier", "flag"}`` record per pair, in the order of the
-    arrays. Each paper id is escaped once, into a record head and a middle
-    piece, and each record is head + middle + one of two tails."""
+    arrays. Each paper id is escaped once, into a record head and two rests
+    (its middle, the "0" or "1" tail and the separator). A citing paper's
+    run of records is one string, its head joined between its rests, and the
+    text is one join of the runs, with no other copy of it."""
+    sep = ",\n    "
     ids = [encode_basestring_ascii(pid) for pid in flags.paper_ids]
     heads = [f'{{\n      "citing": {pid},\n      "earlier": ' for pid in ids]
-    middles = [f'{pid},\n      "flag": ' for pid in ids]
-    tails = ("0\n    }", "1\n    }")
-    records = ",\n    ".join(
-        [
-            heads[c] + middles[e] + tails[f]
-            for c, e, f in zip(flags.citing.tolist(), flags.earlier.tolist(), flags.flag.tolist())
-        ]
+    rests = np.array(
+        [f'{pid},\n      "flag": {bit}\n    }}{sep}' for pid in ids for bit in "01"], dtype=object
     )
-    body = "[\n    " + records + "\n  ]" if records else "[]"
-    return (
+    prefix = (
         f'{{\n  "schema_version": {encode_basestring_ascii(SCHEMA_VERSION)},\n'
-        f'  "k": {json.dumps(k)},\n  "flags": {body}\n}}\n'
+        f'  "k": {json.dumps(k)},\n  "flags": '
     )
+    citing = flags.citing
+    if not len(citing):
+        return prefix + "[]\n}\n"
+    records = rests[2 * flags.earlier + flags.flag]
+    bounds = [0, *(np.flatnonzero(citing[1:] != citing[:-1]) + 1).tolist(), len(citing)]
+    runs = [
+        heads[c] + heads[c].join(records[a:b].tolist())
+        for c, a, b in zip(citing[bounds[:-1]].tolist(), bounds, bounds[1:])
+    ]
+    runs[-1] = runs[-1][: -len(sep)]
+    return "".join([prefix, "[\n    ", *runs, "\n  ]\n}\n"])
 
 
 def _read_keys(path):

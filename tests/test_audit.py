@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from citenoise import (
     audit_justification,
@@ -9,6 +13,7 @@ from citenoise import (
     parse_justification_table,
     serialize_justification_table,
 )
+from citenoise import io as cio
 from citenoise.errors import (
     DimensionMismatch,
     DuplicateId,
@@ -17,6 +22,7 @@ from citenoise.errors import (
     MalformedRow,
     NonSymmetric,
 )
+from test_simulate import traced_peak
 
 
 def random_similarity(rng, n):
@@ -25,6 +31,40 @@ def random_similarity(rng, n):
     np.fill_diagonal(scores, 0.0)
     stamps = rng.permutation(n).tolist()
     return build_similarity([f"paper{i}" for i in range(n)], stamps, scores)
+
+
+def brute_force_warnings(sim, k):
+    """Oracle: the k-too-large warning of each paper with 1 to k - 1
+    predecessors, in id order."""
+    ids, stamps = sim.paper_ids, sim.timestamps
+    messages = []
+    for j in sorted(range(len(ids)), key=ids.__getitem__):
+        m = sum((stamps[p], ids[p]) < (stamps[j], ids[j]) for p in range(len(ids)))
+        if 0 < m < k:
+            messages.append(f"k={k} exceeds {m} predecessors of {ids[j]!r}; using all of them")
+    return messages
+
+
+@st.composite
+def tied_omission_inputs(draw):
+    """(sim, cites, k) of up to 30 papers whose scores and timestamps tie, so
+    that most papers' top-k set is cut inside a run of ties."""
+    n = draw(st.integers(0, 30))
+    pool = draw(st.sampled_from([
+        [2**53 - 1, 2**53, 2**53 + 1, 2**53 + 2],  # ints that floats cannot tell apart
+        ["2020", "2021", "2021-06"],
+        [1.5, 2, 2.0, 3],  # 2 and 2.0 tie
+    ]))
+    stamps = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    cells = draw(st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0]),
+                          min_size=n * n, max_size=n * n))
+    raw = np.array(cells, dtype=float).reshape(n, n)
+    scores = np.where(np.triu(np.ones((n, n), dtype=bool)), raw, raw.T)
+    ids = [f"p{i}" for i in draw(st.permutations(range(n)))]
+    cites = np.array(draw(st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n)),
+                     dtype=np.int8).reshape(n, n)
+    k = draw(st.sampled_from([1, 2, n - 1, n, n + 1, 2**63]).filter(lambda k: k >= 1))
+    return build_similarity(ids, stamps, scores), cites, k
 
 
 def brute_force_flags(sim, citations, k):
@@ -46,6 +86,20 @@ def brute_force_flags(sim, citations, k):
                 p in top and c[j][p] == 0
             )
     return expected
+
+
+def seed_style_omission_inputs(rng, n=600):
+    """(sim, cites) shaped as the benchmark's omission input: cosine
+    similarities of random 16-d vectors, shuffled ids, about three papers per
+    timestamp and 2% of the pairs cited."""
+    unit = rng.random((n, 16))
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    scores = np.clip(unit @ unit.T, 0.0, 1.0)
+    scores = (scores + scores.T) / 2
+    np.fill_diagonal(scores, 1.0)
+    ids = [f"w{v:04d}" for v in rng.permutation(n).tolist()]
+    sim = build_similarity(ids, rng.integers(2000, 2200, n).tolist(), scores)
+    return sim, (rng.random((n, n)) < 0.02).astype(np.int8)
 
 
 class TestSimilarityMatrix:
@@ -112,6 +166,19 @@ class TestOmissionIndicator:
             for k in (1, 2, 4):
                 got = omission_indicator(sim, cites, k)
                 assert got.flags == brute_force_flags(sim, cites, k)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(tied_omission_inputs())
+    def test_ties_at_the_bound_match_the_oracles(self, inputs):
+        """Flags and warnings, in order, where the k-th most similar
+        predecessor ties with others, for k from 1 to beyond int64."""
+        sim, cites, k = inputs
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = omission_indicator(sim, cites, k)
+        assert got.flags == brute_force_flags(sim, cites, k)
+        assert [str(w.message) for w in caught] == brute_force_warnings(sim, k)
+        assert all(w.category is UserWarning for w in caught)
 
     def test_int_timestamps_beyond_float_precision_break_ties(self):
         big = 2**53  # float(big) == float(big + 1)
@@ -361,3 +428,24 @@ class TestAuditJustification:
             assert (report.coverage_ratio * len(c_in)) == pytest.approx(
                 round(report.coverage_ratio * len(c_in))
             )
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+class TestOmissionMemory:
+    """Peak traced memory on the benchmark-sized input: the indicator holds
+    one n x n float temporary beside the scores, and the text of
+    dump_omissions is joined once, from one string per citing paper."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        return seed_style_omission_inputs(np.random.default_rng(1))
+
+    def test_indicator_peak_is_below_three_score_matrices(self, inputs):
+        sim, cites = inputs
+        peak = traced_peak(lambda: omission_indicator(sim, cites, 5))
+        assert peak < 3 * sim.scores.nbytes
+
+    def test_dump_peak_is_below_two_and_a_half_texts(self, inputs):
+        flags = omission_indicator(*inputs, 5)
+        size = len(cio.dump_omissions(flags, 5))
+        assert traced_peak(lambda: cio.dump_omissions(flags, 5)) < 2.5 * size

@@ -489,6 +489,27 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["flags"] == [{"citing": "new", "earlier": "old", "flag": 1}]
 
+    def test_omissions_on_no_papers_gives_no_flags(self, tmp_path, capsys):
+        """With no papers, "scores": [] and "cites": [] are 0 x 0 matrices."""
+        (tmp_path / "sim.json").write_text(json.dumps({"papers": [], "scores": []}))
+        (tmp_path / "cites.json").write_text(json.dumps({"papers": [], "cites": []}))
+        code = run_cli(
+            ["omissions", "--sim", str(tmp_path / "sim.json"),
+             "--citations", str(tmp_path / "cites.json"), "--k", "2"]
+        )
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert out == cio.dump_json({"schema_version": "1", "k": 2, "flags": []})
+        # A row, even an empty one, is not the matrix of no papers.
+        for sim_rows, cite_rows, at_fault in (([[]], [], "sim"), ([], [[]], "cites")):
+            (tmp_path / "sim.json").write_text(json.dumps({"papers": [], "scores": sim_rows}))
+            (tmp_path / "cites.json").write_text(json.dumps({"papers": [], "cites": cite_rows}))
+            code = run_cli(["omissions", "--sim", str(tmp_path / "sim.json"),
+                            "--citations", str(tmp_path / "cites.json"), "--k", "2"])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert f"error: {tmp_path / at_fault}.json: " in err
+
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_omissions_k_below_1_is_usage_error(self, tmp_path, capsys, k):
         # The files do not exist: the value is rejected before any is read.
