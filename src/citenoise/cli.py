@@ -4,19 +4,25 @@ Exit codes: 0 success, 1 validation/parse errors, 2 usage errors. All
 randomized subcommands take their seed from the config file or an explicit
 --seed flag; there is no implicit entropy, so identical invocations
 produce byte-identical output. Every file is read, and every output
-document built and written, by :mod:`citenoise.io`.
+document built, by :mod:`citenoise.io`. A command returns its outputs as
+``(path, output)`` pairs in write order (``path`` None for stdout, ``output``
+a JSON document or ready text); :func:`run_cli` renders each document with
+``dump_json`` and writes every output through ``write_text``, in order.
 """
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from . import io as cio
 from .audit import audit_justification, omission_indicator
-from .errors import CitenoiseError, ParseError
+from .errors import CitenoiseError, InvalidConfig, ParseError
 from .fixtures import builtin_fixture, fixture_names
 from .metrics import analyze
-from .simulate import GenerativeConfig, _retest_sigmas, aggregation_curve, generate_system
+from .simulate import (
+    GenerativeConfig, _check_trials, _retest_sigmas, aggregation_curve, generate_system,
+)
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(GenerativeConfig)}
 
@@ -52,24 +58,23 @@ def _cmd_analyze(args):
     system = _load_system_arg(args.input)
     report = analyze(system)
     if args.format == "json":
-        return cio.dump_json(cio.report_to_document(report, system))
-    return cio.report_to_table(report, system)
+        return [(args.out, cio.report_to_document(report, system))]
+    return [(args.out, cio.report_to_table(report, system))]
 
 
 def _cmd_simulate(args):
     config = _load_config(args.config, args.seed)
     with cio._naming(args.config):  # flip probabilities must stay in [0, 1]
         system, latent = generate_system(config)
-    if args.latent:
-        cio.write_text(cio.dump_json(cio.latent_to_document(latent)), args.latent)
-    return cio.dump_json(cio.system_to_document(system))
+    sidecar = [(args.latent, cio.latent_to_document(latent))] if args.latent else []
+    return [*sidecar, (args.out, cio.system_to_document(system))]
 
 
 def _cmd_retest(args):
     config = _load_config(args.config, args.seed)
     with cio._naming(args.config):  # replicates >= 2, flip probabilities in [0, 1]
         stable, occasion = _retest_sigmas(config)
-    return cio.dump_json(cio.retest_to_document(config.replicates, stable, occasion))
+    return [(args.out, cio.retest_to_document(config.replicates, stable, occasion))]
 
 
 def _cmd_aggregate(args):
@@ -80,12 +85,16 @@ def _cmd_aggregate(args):
         ns = []
     if not ns:
         raise UsageError(f"--ns must be a comma-separated integer list: {args.ns!r}")
-    return cio.aggregation_to_csv(aggregation_curve(config, ns, args.trials))
+    try:
+        _check_trials(args.trials)
+    except InvalidConfig as exc:
+        raise UsageError(f"--trials: {exc}") from None
+    return [(args.out, cio.aggregation_to_csv(aggregation_curve(config, ns, args.trials)))]
 
 
 def _cmd_audit(args):
     report = audit_justification(*cio.load_audit_inputs(args.refs, args.intext, args.jt))
-    return cio.dump_json(cio.audit_to_document(report))
+    return [(args.out, cio.audit_to_document(report))]
 
 
 def _cmd_omissions(args):
@@ -94,11 +103,11 @@ def _cmd_omissions(args):
     sim, cites = cio.load_omission_inputs(args.sim, args.citations)
     with cio._naming(args.citations):  # the indicator checks the citation matrix
         flags = omission_indicator(sim, cites, args.k)
-    return cio.dump_omissions(flags, args.k)
+    return [(args.out, cio.dump_omissions(flags, args.k))]
 
 
 def _cmd_fixtures(args):
-    return cio.dump_json(cio.system_to_document(builtin_fixture(args.name)))
+    return [(args.out, cio.system_to_document(builtin_fixture(args.name)))]
 
 
 def _build_parser():
@@ -162,7 +171,12 @@ def run_cli(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
-        cio.write_text(args.func(args), args.out)
+        outputs = args.func(args)
+        real = [os.path.realpath(path) for path, _ in outputs if path]
+        if len(set(real)) < len(real):
+            raise UsageError(f"two outputs name the same file: {max(real, key=real.count)}")
+        for path, output in outputs:
+            cio.write_text(output if type(output) is str else cio.dump_json(output), path)
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -52,7 +52,7 @@ import numpy as np
 
 from .audit import build_similarity, parse_justification_table
 from .errors import CitenoiseError, ParseError, SchemaVersionUnsupported
-from .model import _binary_int8, build_system
+from .model import _as_integer, _binary_int8, build_system
 
 SCHEMA_VERSION = "1"
 _PRINTED = Decimal("0.01")  # the tables print two decimals
@@ -513,7 +513,7 @@ def load_omission_inputs(sim_path, cites_path):
 
 def dump_omissions(flags, k):
     """The ``omissions`` document of :class:`~citenoise.audit.OmissionFlags`
-    as :func:`dump_json` renders it: ``schema_version``, ``k``, then one
+    as :func:`dump_json` renders it: ``schema_version``, ``k`` as an int, then one
     ``{"citing", "earlier", "flag"}`` record per pair, in the order of the
     arrays. Each paper id is escaped once, into a record head and two rests
     (its middle, the "0" or "1" tail and the separator). A citing paper's
@@ -527,7 +527,7 @@ def dump_omissions(flags, k):
     )
     prefix = (
         f'{{\n  "schema_version": {encode_basestring_ascii(SCHEMA_VERSION)},\n'
-        f'  "k": {json.dumps(k)},\n  "flags": '
+        f'  "k": {_as_integer(k)},\n  "flags": '
     )
     citing = flags.citing
     if not len(citing):

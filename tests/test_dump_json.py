@@ -366,12 +366,13 @@ def _omission_example(ids, stamps, k):
 @example(_omission_example([], [], 1))
 @example(_omission_example(["é"], [0], 2**63))
 @example(_omission_example(['z"', "\\", "é\n", "a\x00"], [1, 0, 1, 0], 2))
+@example(_omission_example(["a", "b", "c"], [0, 1, 2], np.int64(2)))
 def test_dump_omissions_is_json_dumps_of_the_flags_document(inputs):
     sim, cites, k = inputs
     flags = omission_indicator(sim, cites, k)
     doc = {
         "schema_version": "1",
-        "k": k,
+        "k": int(k),
         "flags": [
             {"citing": citing, "earlier": earlier, "flag": v}
             for (citing, earlier), v in flags.flags.items()

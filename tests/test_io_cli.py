@@ -411,17 +411,21 @@ class TestCli:
         assert out == ""
         assert f"error: --ns must be a comma-separated integer list: {ns!r}" in err
 
-    def test_aggregate_trials_beyond_intp_exits_1(self, tmp_path, capsys):
+    def test_aggregate_trials_out_of_range_is_usage_error(self, tmp_path, capsys):
         # 2**62 int64 trials fit an intp count but not an array's bytes:
         # numpy's own "array is too big" error named no bound.
         config = write_config(tmp_path, seed=3)
         largest = np.iinfo(np.intp).max // 8
-        for trials in ("100000000000000000000", str(2**62)):
+        for trials, message in [
+            ("50", "need at least 100 trials"),
+            ("100000000000000000000", f"trials must be at most {largest}, got {10**20}"),
+            (str(2**62), f"trials must be at most {largest}, got {2**62}"),
+        ]:
             code = run_cli(["aggregate", "--config", config, "--ns", "5", "--trials", trials])
             out, err = capsys.readouterr()
-            assert code == 1
+            assert code == 2
             assert out == ""
-            assert err == f"error: trials must be at most {largest}, got {trials}\n"
+            assert err == f"error: --trials: {message}\n"
 
     def test_analyze_three_inputs_is_usage_error(self, tmp_path, capsys):
         fx = tmp_path / "t1.json"
@@ -583,6 +587,81 @@ class TestCli:
             assert run_cli([*argv, "--out", str(a)]) == 0
             assert run_cli([*argv, "--out", str(b)]) == 0
             assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("out", ["x.json", "./x.json"])
+    def test_two_outputs_naming_one_file_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                        out):
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, seed=3, n_authors=2, papers_per_author=2, n_cited=3)
+        code = run_cli(["simulate", "--config", config, "--latent", "x.json", "--out", out])
+        assert code == 2
+        target = os.path.realpath(tmp_path / "x.json")
+        assert capsys.readouterr().err == f"error: two outputs name the same file: {target}\n"
+        assert not os.path.exists(target)
+
+
+class TestOneWriter:
+    """``run_cli``, and no command, renders each output with ``io.dump_json``
+    (ready text as it is) and writes it through ``io.write_text`` before it
+    renders the next."""
+
+    @staticmethod
+    def record(monkeypatch):
+        calls = []
+        dump_json, write_text = cio.dump_json, cio.write_text
+
+        def recording_dump_json(doc):
+            assert sys._getframe(1).f_code.co_name == "run_cli"
+            calls.append(("dump_json", dump_json(doc)))
+            return calls[-1][1]
+
+        def recording_write_text(text, path):
+            assert sys._getframe(1).f_code.co_name == "run_cli"
+            calls.append(("write_text", text, path))
+            write_text(text, path)
+
+        monkeypatch.setattr(cio, "dump_json", recording_dump_json)
+        monkeypatch.setattr(cio, "write_text", recording_write_text)
+        return calls
+
+    def test_simulate_renders_and_writes_the_sidecar_first(self, tmp_path, monkeypatch):
+        fields = dict(seed=3, n_authors=2, papers_per_author=2, n_cited=3, base_error=0.1)
+        config = write_config(tmp_path, **fields)
+        system, latent = citenoise.generate_system(citenoise.GenerativeConfig(**fields))
+        latent_text = cio.dump_json(cio.latent_to_document(latent))
+        system_text = cio.dump_json(cio.system_to_document(system))
+        latent_path, out = str(tmp_path / "latent.json"), str(tmp_path / "system.json")
+        calls = self.record(monkeypatch)
+        assert run_cli(["simulate", "--config", config, "--latent", latent_path,
+                        "--out", out]) == 0
+        assert calls == [("dump_json", latent_text), ("write_text", latent_text, latent_path),
+                         ("dump_json", system_text), ("write_text", system_text, out)]
+
+    @pytest.mark.parametrize("argv, rendered", [
+        (["analyze", "--input", "{system}"], 1),
+        (["analyze", "--input", "{system}", "--format", "table"], 0),
+        (["simulate", "--config", "{config}"], 1),
+        (["retest", "--config", "{config}"], 1),
+        (["aggregate", "--config", "{config}", "--ns", "5", "--trials", "100"], 0),
+        (["audit", "--refs", "{refs}", "--intext", "{intext}", "--jt", "{jt}"], 1),
+        (["omissions", "--sim", "{sim}", "--citations", "{cites}", "--k", "1"], 0),
+        (["fixtures", "--name", "table1"], 1),
+    ], ids=["analyze-json", "analyze-table", "simulate", "retest", "aggregate", "audit",
+            "omissions", "fixtures"])
+    def test_every_other_command_writes_once_to_out(self, tmp_path, monkeypatch, argv,
+                                                    rendered):
+        paths = {"system": tmp_path / "system.json",
+                 "config": write_config(tmp_path, seed=1, n_authors=2, n_cited=2, replicates=2)}
+        cio.save_system(builtin_fixture("table1"), paths["system"])
+        paths["sim"], paths["cites"] = write_omission_docs(tmp_path, ORDERED, SCORES)
+        for name, text in [("refs", "A\n"), ("intext", "A\n"), ("jt", "A | S | x\n")]:
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_text(text)
+        out = str(tmp_path / "out")
+        calls = self.record(monkeypatch)
+        assert run_cli([arg.format(**paths) for arg in argv] + ["--out", out]) == 0
+        text = Path(out).read_text(encoding="utf-8")
+        assert calls == [("dump_json", text)] * rendered + [("write_text", text, out)]
 
 
 def two_author_document():
