@@ -45,6 +45,7 @@ DIGESTS = {
     "latent.json": "1ed0ca2643ca9cedd97c13cc85edfe99fdcbe788c4323ef0ab79b6953c3dedf6",
     "omissions.json": "13155ccbd829c69fdab5cc880d0d0940d3c8efe5005a74fba27f4e53031309b7",
     "omissions-ties.json": "102804144bf3b3592032d7f3ec6402d3cf5ab98020bb07886fa3eb3de33fbcb9",
+    "retest-300.json": "3428363f7bf1f14acdb3e6087cfba45ca82a8823200c129da1fc6a9a871e0f86",
     "retest.json": "9609710e326d9be719b701b7be0b8d301b92ec2ccf941ac6b8b4b38d82622f3f",
     "simulate-seed-7.json": "ee317842b29334a22b595d06b054e88cd69080bcf9dd6c08a3815d89a4dd29da",
     "simulate.json": "e7fda6438f7c7f5cb255cfc93321c0f65612528c98951b85e790a3dc27a7cc10",
@@ -109,6 +110,8 @@ def outputs(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("digests")
     config = tmp / "config.json"
     config.write_text(json.dumps(CONFIG))
+    config_300 = tmp / "config-300.json"  # error counts pass the 255-occasion flush
+    config_300.write_text(json.dumps({**CONFIG, "replicates": 300}))
     cio.save_system(random_system(np.random.default_rng(3)), tmp / "system.json")
     cio.save_system_csv(
         random_system(np.random.default_rng(4)), tmp / "realized.csv", tmp / "accurate.csv"
@@ -123,6 +126,7 @@ def outputs(tmp_path_factory):
         "simulate.json": ["simulate", "--config", config, "--latent", tmp / "latent.json"],
         "simulate-seed-7.json": ["simulate", "--config", config, "--seed", "7"],
         "retest.json": ["retest", "--config", config],
+        "retest-300.json": ["retest", "--config", config_300],
         "aggregate.csv": ["aggregate", "--config", config, "--ns", "5,50,500",
                           "--trials", "200"],
         "audit.json": ["audit", "--refs", tmp / "refs.txt", "--intext", tmp / "intext.txt",
