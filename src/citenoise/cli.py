@@ -21,7 +21,8 @@ from .errors import CitenoiseError, InvalidConfig, ParseError
 from .fixtures import builtin_fixture, fixture_names
 from .metrics import analyze
 from .simulate import (
-    GenerativeConfig, _check_trials, _retest_sigmas, aggregation_curve, generate_system,
+    GenerativeConfig, _check_trials, aggregation_curve, decompose_pattern_noise,
+    generate_system, replicate_decisions,
 )
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(GenerativeConfig)}
@@ -73,7 +74,7 @@ def _cmd_simulate(args):
 def _cmd_retest(args):
     config = _load_config(args.config, args.seed)
     with cio._naming(args.config):  # replicates >= 2, flip probabilities in [0, 1]
-        stable, occasion = _retest_sigmas(config)
+        stable, occasion = decompose_pattern_noise(*replicate_decisions(config))
     return [(args.out, cio.retest_to_document(config.replicates, stable, occasion))]
 
 

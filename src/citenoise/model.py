@@ -49,7 +49,10 @@ def _binary_int8(arr):
 
 def _as_binary_matrix(rows, name):
     """``rows`` as a read-only int8 copy, if a 2-D matrix of 0s and 1s."""
-    arr = np.asarray(rows)
+    try:
+        arr = np.asarray(rows)
+    except ValueError:  # numpy's error for rows of different lengths
+        raise DimensionMismatch(f"{name} must be a 2-D matrix, got ragged rows") from None
     if arr.ndim != 2:
         raise DimensionMismatch(f"{name} must be a 2-D matrix, got ndim={arr.ndim}")
     if arr.dtype == np.int8:

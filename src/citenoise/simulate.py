@@ -25,12 +25,13 @@ handed keys and build their own generators. ``generate_system`` takes the
 first occasion and ``replicate_decisions`` the first T, so raising
 ``replicates`` never perturbs earlier replicates.
 
-The CLI's ``retest`` draws the same T occasions but builds no replicate: it
-counts each cell's errors straight from the flip draws. ``bias_recovery``
-counts each trial's realized citations straight from the draws and the two
-per-author tables, without building pi or the realized matrix. Both run on
-one thread per CPU the process may use and add up in order, so neither
-result depends on how many there are.
+``replicate_decisions`` draws its T occasions in order on one thread per
+CPU the process may use, up to two per thread ahead of the reader; the
+CLI's ``retest`` is ``decompose_pattern_noise(*replicate_decisions(config))``.
+``bias_recovery`` counts each trial's realized citations straight from the
+draws and the two per-author tables, without building pi or the realized
+matrix, on the same threads, and adds them up in order. So no result
+depends on how many CPUs there are.
 ``aggregation_curve`` draws from the seed's own stream.
 """
 
@@ -103,7 +104,7 @@ class GenerativeConfig:
             shift = tuple(shift)
             object.__setattr__(self, "bias_shift", shift)
         for name in _INT_FIELDS:
-            _integer(name, getattr(self, name))
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         for name in _REAL_FIELDS:
             _check_finite(name, getattr(self, name))
         for value in shift if type(shift) is tuple else [shift]:
@@ -251,27 +252,25 @@ def generate_system(config):
     return system, latent
 
 
-def _replicates(config):
-    """The latent truth of ``config``'s replicates and the range of its T
-    occasion keys; InvalidConfig for ``replicates < 2`` or a rejected latent
-    truth."""
-    if config.replicates < 2:
-        raise InvalidConfig("occasion decomposition needs replicates >= 2")
-    latent = _sample_latent(config, _rng(config.seed, 0), _rng(config.seed, 1))
-    return latent, range(2, 2 + config.replicates)
-
-
 def replicate_decisions(config):
     """Sample T realized matrices over one shared latent truth.
 
-    Returns ``(realized, latent)``: an iterator that draws each of the T int8
-    J x K matrices as it is consumed, so that no more than one is held
-    (``tuple(realized)`` holds all T), and the :class:`LatentTruth` they
+    Returns ``(realized, latent)``: an iterator over the T int8 J x K
+    matrices, drawn in order on one thread per usable CPU, up to two per
+    thread ahead of the reader, so that the matrices held do not grow with T
+    (``tuple(realized)`` holds all T); and the :class:`LatentTruth` they
     share, which holds the accurate matrix and the author labels. The latent
-    truth is sampled, and ``replicates < 2`` rejected, by the call itself.
+    truth is sampled, and ``replicates < 2`` rejected (InvalidConfig), by the
+    call itself.
     """
-    latent, occasions = _replicates(config)
-    return (_sample_realized(latent, _rng(config.seed, t)) for t in occasions), latent
+    if config.replicates < 2:
+        raise InvalidConfig("occasion decomposition needs replicates >= 2")
+    latent = _sample_latent(config, _rng(config.seed, 0), _rng(config.seed, 1))
+
+    def draw(t):
+        return _sample_realized(latent, _rng(config.seed, t))
+
+    return _in_order(draw, range(2, 2 + config.replicates)), latent
 
 
 def decompose_pattern_noise(realized, latent):
@@ -290,45 +289,22 @@ def decompose_pattern_noise(realized, latent):
     pooled mean; the stable component is the nonnegative remainder.
     """
     s = np.zeros(latent.accurate.shape, dtype=np.int64)
+    # Errors are counted in uint8, which cannot overflow in 255 occasions,
+    # and added into s every 255.
+    c = np.zeros(s.shape, dtype=np.uint8)
     t = 0
     for t, r in enumerate(realized, 1):
         r = _as_binary_matrix(r, f"realized[{t - 1}]")
         if r.shape != s.shape:
             raise DimensionMismatch(f"realized[{t - 1}] {r.shape} vs accurate {s.shape}")
-        s += r != latent.accurate
+        c += r != latent.accurate
+        if t % 255 == 0:
+            s += c
+            c[:] = 0
+    s += c
     if t < 2:
         raise InsufficientReplicates("need at least 2 occasions")
     return _sigmas(s, t, latent)
-
-
-# Occasions one call of _retest_sigmas' counter draws: a uint8 count of
-# this many 0/1 flips cannot overflow.
-_CHUNK = 8
-
-
-def _retest_sigmas(config):
-    """``decompose_pattern_noise(*replicate_decisions(config))``, counted
-    straight from the flip draws.
-
-    A realized cell differs from A exactly where its flip draw v < pi, so
-    each cell's error count is the number of occasions with v < pi: no
-    realized matrix is built or checked. The chunks of occasions are
-    counted on threads, and integer counts add up the same in any order.
-    """
-    latent, occasions = _replicates(config)
-    pi = latent.flip_probs
-
-    def count(keys):
-        c = np.zeros(pi.shape, dtype=np.uint8)
-        for t in keys:
-            c += _rng(config.seed, t).random(pi.shape) < pi
-        return c
-
-    chunks = (occasions[i : i + _CHUNK] for i in range(0, len(occasions), _CHUNK))
-    s = np.zeros(pi.shape, dtype=np.int64)
-    for c in _in_order(count, chunks):
-        s += c
-    return _sigmas(s, len(occasions), latent)
 
 
 def _sigmas(s, t, latent):
@@ -446,7 +422,8 @@ def _in_order(fn, items):
     more than one: ``items`` is drawn in order on the calling thread, at most
     two calls per thread are in flight, and results come in order. An error
     propagates when its result is reached; the calls not yet started are
-    then cancelled and the threads joined."""
+    then cancelled and the threads joined, as they are when the iterator is
+    closed."""
     workers = _usable_cpus()
     if workers == 1:
         yield from map(fn, items)

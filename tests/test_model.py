@@ -59,6 +59,9 @@ class TestBuildSystem:
             build_system(["a"], [("p", 0)], ["c"], [[0]], [[0, 1]])
         with pytest.raises(DimensionMismatch):
             build_system(["a"], [("p", 0)], ["c", "d"], [[0]], [[0]])
+        ragged = r"^realized must be a 2-D matrix, got ragged rows$"
+        with pytest.raises(DimensionMismatch, match=ragged):
+            build_system(["a"], [("p", 0), ("q", 0)], ["x", "y"], [[0, 1], [0]], [[0, 1]] * 2)
 
     def test_unknown_author(self):
         with pytest.raises(UnknownAuthor):

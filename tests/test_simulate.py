@@ -162,7 +162,12 @@ class TestConfigValidation:
             assert hash(config) == hash(cfg(n_cited=2, bias_shift=(0.1, 0.2)))
 
     def test_accepts_ints_for_floats_and_numpy_scalars(self):
-        cfg(n_authors=np.int64(2), base_error=0, level_spread=np.float64(0.1))
+        config = cfg(n_authors=np.int64(2), base_error=0, level_spread=np.float64(0.1))
+        assert type(config.n_authors) is int
+        # Stored as numpy ints, J x K wrapped to 0 in int64 and passed the bound.
+        with pytest.raises(InvalidConfig):
+            GenerativeConfig(seed=1, n_authors=np.int64(2**32),
+                             papers_per_author=np.int64(2**32))
 
     def test_rejects_heavy_clamping(self):
         with pytest.raises(InvalidConfig):
@@ -449,7 +454,7 @@ class TestReplicateDecisions:
     def test_retest_spawns_each_replicate_as_it_runs(self, tmp_path):
         # replicates 10**9, stopped at the first flip draw: besides A's and
         # the latent offsets' keys, no more occasion keys were requested than
-        # the chunks in flight hold, one serially and two per thread on
+        # the replicates in flight, one serially and two per thread on
         # several CPUs, so the work before the first result does not grow
         # with T.
         config = tmp_path / "config.json"
@@ -463,7 +468,27 @@ class TestReplicateDecisions:
             assert keys[:2] == [(0,), (1,)]
             occasions = keys[2:]
             assert (2,) in occasions
-            assert 1 <= len(occasions) <= window * simulate._CHUNK
+            assert 1 <= len(occasions) <= window
+
+    def test_replicates_are_bit_identical_on_any_cpu_count(self):
+        config = cfg(n_authors=3, papers_per_author=4, n_cited=5, base_error=0.3,
+                     interaction_spread=0.1, replicates=20)
+        runs = []
+        for cpus in (1, 2, 4):
+            with on_cpus(cpus):
+                realized, _ = replicate_decisions(config)
+                runs.append([(r.dtype, r.shape, r.tobytes()) for r in realized])
+        assert len(runs[0]) == 20
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_closing_the_replicates_joins_their_threads(self):
+        before = threading.active_count()
+        with on_cpus(4):
+            realized, _ = replicate_decisions(cfg(base_error=0.2, replicates=100))
+            next(realized)
+            assert threading.active_count() > before
+            realized.close()
+        assert threading.active_count() == before
 
     def test_earlier_replicates_stable_when_adding_more(self):
         base = cfg(n_authors=3, papers_per_author=2, n_cited=4, base_error=0.3, replicates=3)
@@ -487,8 +512,10 @@ class TestDecomposePatternNoise:
          (lambda r: np.full_like(r, 7), NonBinaryEntry,
           r"^realized\[0\]\[0\]\[0\] = 7 is not 0 or 1$"),
          (lambda r: np.zeros((12, 2), np.int8), DimensionMismatch,
-          r"^realized\[0\] \(12, 2\) vs accurate \(12, 5\)$")],
-        ids=["one-row", "one-row-1-d", "sevens", "wrong-shape"],
+          r"^realized\[0\] \(12, 2\) vs accurate \(12, 5\)$"),
+         (lambda r: [*r.tolist()[:-1], [0, 1]], DimensionMismatch,
+          r"^realized\[0\] must be a 2-D matrix, got ragged rows$")],
+        ids=["one-row", "one-row-1-d", "sevens", "wrong-shape", "ragged"],
     )
     def test_rejects_a_replicate_that_is_not_a_0_1_matrix_of_its_shape(
         self, replicate, error, message
@@ -529,6 +556,18 @@ class TestDecomposePatternNoise:
         assert occasion == 0.0
         assert stable == 0.0
 
+    def test_counts_errors_past_255_occasions(self):
+        # Cells that err on all 300 occasions count past what a uint8 holds.
+        _, latent = replicate_decisions(
+            cfg(n_authors=2, papers_per_author=2, n_cited=3, base_error=0.3, replicates=2)
+        )
+        wrong = 1 - latent.accurate
+        wrong[0] = latent.accurate[0]  # the first paper's cells never err
+        realized = [wrong] * 300
+        got = decompose_pattern_noise(realized, latent)
+        assert got == pytest.approx(stacked_decomposition(realized, latent), abs=1e-12)
+        assert got == pytest.approx((math.sqrt(0.125), 0.0), abs=1e-12)
+
     def test_recovers_injected_interaction_spread(self):
         realized, latent = replicate_decisions(
             cfg(n_authors=40, papers_per_author=5, n_cited=30, base_error=0.3,
@@ -555,30 +594,35 @@ class TestDecomposePatternNoise:
 
 
 class TestRetestCount:
-    """The CLI's retest counts each cell's errors straight from the flip
-    draws, in chunks of occasions on threads, and must give the floats of the
-    checked public path."""
+    """The CLI's retest is ``decompose_pattern_noise(*replicate_decisions(
+    config))``: the replicates are drawn on threads and each cell's errors
+    counted in uint8, added into the total every 255 occasions. Its floats
+    must not depend on the CPU count and must match the stacked formula."""
 
     @given(sampler_configs(), st.integers(2, 20))
     @example(CLAMPED[0], 3)
-    # Chunks of 8 occasions: one and a part, two, two and one.
     @example(cfg(n_authors=4, papers_per_author=3, n_cited=5, base_error=0.3,
                  interaction_spread=0.2), 9)
     @example(cfg(n_authors=4, papers_per_author=3, n_cited=5, base_error=0.3,
                  interaction_spread=0.2), 16)
     @example(cfg(n_authors=4, papers_per_author=3, n_cited=5, base_error=0.3,
                  interaction_spread=0.2), 17)
+    # One flush of the uint8 counts after 255 occasions, and one at the end.
+    @example(cfg(n_authors=4, papers_per_author=3, n_cited=5, base_error=0.3,
+                 interaction_spread=0.2), 256)
     def test_equals_the_checked_decomposition_on_any_cpu_count(self, config, t):
         config = dataclasses.replace(config, replicates=t)
-        expected = decompose_pattern_noise(*replicate_decisions(config))
+        got = set()
         for cpus in (1, 2, 4):
             with mock.patch.object(simulate, "_usable_cpus", lambda: cpus):
-                assert simulate._retest_sigmas(config) == expected
+                got.add(decompose_pattern_noise(*replicate_decisions(config)))
+        assert len(got) == 1
+        expected = stacked_decomposition(*replicate_decisions(config))
+        assert got.pop() == pytest.approx(expected, abs=1e-12)
 
     def test_an_error_in_a_workers_draw_propagates(self):
-        # Occasion 13 (chunk 1), key (2 + 13,), fails; the count runs on the
-        # calling thread on one CPU and on pool threads, all joined, on
-        # several.
+        # Occasion 13, key (2 + 13,), fails; the draws run on the calling
+        # thread on one CPU and on pool threads, all joined, on several.
         class Boom(Exception):
             pass
 
@@ -600,21 +644,21 @@ class TestRetestCount:
             threads.clear()
             with on_cpus(cpus), mock.patch("numpy.random.default_rng", rng), \
                     pytest.raises(Boom):
-                simulate._retest_sigmas(config)
+                decompose_pattern_noise(*replicate_decisions(config))
             assert threading.active_count() == before
             on_caller = threads == {threading.current_thread()}
             assert on_caller == (cpus == 1)
 
     def test_memory_does_not_grow_with_the_replicates(self):
-        # The counts of the chunks in flight, not one matrix per occasion:
-        # T = 100 int8 replicates alone would take 20 MB here.
+        # The replicates in flight, not one matrix per occasion: T = 100
+        # int8 replicates alone would take 20 MB here.
         config = cfg(seed=1, n_authors=100, papers_per_author=20, n_cited=100,
                      base_error=0.15, level_spread=0.05, interaction_spread=0.03,
                      bias_shift=0.02, should_cite_prob=0.3)
         few, many = (dataclasses.replace(config, replicates=t) for t in (10, 100))
 
         def peak(config):
-            return traced_peak(lambda: simulate._retest_sigmas(config))
+            return traced_peak(lambda: decompose_pattern_noise(*replicate_decisions(config)))
 
         with on_cpus(2):
             peak(few)  # numpy's and the thread pool's one-off allocations
