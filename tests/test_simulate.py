@@ -164,7 +164,7 @@ class TestConfigValidation:
     def test_accepts_ints_for_floats_and_numpy_scalars(self):
         config = cfg(n_authors=np.int64(2), base_error=0, level_spread=np.float64(0.1))
         assert type(config.n_authors) is int
-        # Stored as numpy ints, J x K wrapped to 0 in int64 and passed the bound.
+        # 2**64 cells: a product of numpy int64s wraps to 0 and would pass the bound.
         with pytest.raises(InvalidConfig):
             GenerativeConfig(seed=1, n_authors=np.int64(2**32),
                              papers_per_author=np.int64(2**32))
