@@ -42,10 +42,19 @@ def _is_real(x):
 
 def build_similarity(paper_ids, timestamps, scores):
     """Validated similarity matrix. Ids are strings and timestamps all finite
-    real numbers or all strings, so (timestamp, id) orders papers strictly."""
+    real numbers or all strings, so (timestamp, id) orders papers strictly;
+    scores that are not real numbers (complex, strings) raise TypeError."""
     paper_ids = tuple(paper_ids)
     timestamps = tuple(timestamps)
-    s = np.array(scores, dtype=float)  # a copy, made read-only below
+    try:
+        s = np.array(scores)  # a copy, made read-only below
+    except ValueError:  # numpy's error for rows of different lengths
+        raise DimensionMismatch("scores must be a 2-D matrix, got ragged rows") from None
+    if s.dtype.kind not in "biuf" and not (
+        s.dtype == object and all(isinstance(x, numbers.Real) for x in s.flat)
+    ):
+        raise TypeError(f"scores must be real numbers, not {s.dtype}")
+    s = s.astype(float, copy=False)
     n = len(paper_ids)
     if not all(isinstance(p, str) for p in paper_ids):
         raise ParseError("paper ids must be strings")

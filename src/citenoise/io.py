@@ -21,15 +21,17 @@ with its id, author id, and one cell per cited paper; a cell is exactly
 on all ids, and each loaded matrix takes J·K bytes (int8).
 
 The 0/1 matrices (a system's ``realized`` and ``accurate``, the omission
-input's ``cites``) are first decoded straight from the file's bytes, in one
-numpy pass over each matrix: :func:`_json_matrices` for a JSON document in
-any whitespace layout, :func:`_csv_matrix` for a CSV file. This byte path
-only accepts: it raises nothing, and on any file off its template it
-declines, and the same bytes are decoded again from the start by the
-per-cell decoder (``json`` then :func:`_binary_cells`, or the ``csv`` reader
-of :func:`_read_matrix_csv`). That decoder is the only judge of a bad file,
-so every error type, message, offset and line number is its own, and a file
-both accept gives the same ids, owners and int8 matrices. The writer is the
+input's ``cites``) are first decoded straight from the file's bytes, each
+row checked against one row template by :func:`_template_digits`, a block of
+rows at a time: in place for a JSON document whose rows are all laid out as
+its first (:func:`_json_matrices`), from the joined cells of a CSV file
+(:func:`_csv_matrix`). This byte path only accepts: it raises nothing, and
+on any file off its template it declines, and the same bytes are decoded
+again from the start by the per-cell decoder (``json`` then
+:func:`_binary_cells`, or the ``csv`` reader of :func:`_read_matrix_csv`).
+That decoder is the only judge of a bad file, so every error type, message,
+offset and line number is its own, and a file both accept gives the same
+ids, owners and int8 matrices. The writer is the
 byte path's inverse: :func:`dump_json` renders an int8 0/1 matrix by adding
 its bytes to the digits of the indented form of the same row template,
 :func:`_row_template`. A float64 matrix (the latent-truth sidecar's flip
@@ -139,9 +141,9 @@ def dump_json(doc):
     four paths: a non-empty 2-D int8 array of 0s and 1s from its bytes
     (:func:`_binary_matrix`); a non-empty 2-D finite float64 array with
     one ``repr`` per distinct value (:func:`_float_matrix`); a non-empty
-    list of flat records (:func:`_flat_records`); and a non-empty list of
-    scalars (:func:`_scalars`). Any other array goes on as its
-    ``.tolist()``, and any other value goes to ``json.dumps``.
+    list of records, whose fields may hold records (:func:`_flat_records`);
+    and a non-empty list of scalars (:func:`_scalars`). Any other array goes
+    on as its ``.tolist()``, and any other value goes to ``json.dumps``.
     """
     if type(doc) is not dict or not doc or not all(type(key) is str for key in doc):
         return _dumps(doc) + "\n"
@@ -177,13 +179,9 @@ def _render_value(value):
                     return text
         value = value.tolist()
     if type(value) is list and value:
-        if type(value[0]) is dict:
-            text = _flat_records(value)
-        else:
-            texts = _scalars(value)
-            text = None if texts is None else ",\n    ".join(texts)
-        if text is not None:
-            return "[\n    " + text + "\n  ]"
+        texts = _flat_records(value) if type(value[0]) is dict else _scalars(value)
+        if texts is not None:
+            return "[\n    " + ",\n    ".join(texts) + "\n  ]"
     # Strings are escaped, so every newline here is structural.
     return _dumps(value).replace("\n", "\n  ")
 
@@ -263,10 +261,11 @@ def _scalars(values):
     return None
 
 
-def _flat_records(records):
-    """The records of a list of dicts with one key order, each field's values
-    rendered by :func:`_scalars`, by one template; None for any other list."""
-    keys = tuple(records[0])
+def _flat_records(records, indent="\n    "):
+    """The JSON texts, at ``indent``, of a list of dicts with one key order by
+    one template, each field's values rendered by :func:`_scalars` or, if
+    they are dicts, by this function one level deeper; None for any other."""
+    keys, inner = tuple(records[0]), indent + "  "
     if (
         not keys
         or not all(type(key) is str for key in keys)
@@ -276,15 +275,17 @@ def _flat_records(records):
         return None
     columns = []
     for key in keys:
-        column = _scalars(list(map(itemgetter(key), records)))
+        values = list(map(itemgetter(key), records))
+        column = _scalars(values)
+        if column is None and type(values[0]) is dict:
+            column = _flat_records(values, inner)
         if column is None:
             return None
         columns.append(column)
-    fields = ",\n      ".join(
+    fields = ("," + inner).join(
         encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys
     )
-    template = "{\n      " + fields + "\n    }"
-    return ",\n    ".join(map(template.__mod__, zip(*columns)))
+    return map(("{" + inner + fields + indent + "}").__mod__, zip(*columns))
 
 
 def write_text(text, path):
@@ -360,19 +361,24 @@ def _read_json_matrices(path, fields):
 
 
 _JSON_SPACE = b" \t\n\r"
+# A matrix's "[", its first row, and the separator after it.
+_FIRST_ROW = re.compile(rb"[ \t\n\r]*\[[ \t\n\r]*(\[[^]]*\])([ \t\n\r]*,[ \t\n\r]*)?")
+_BLOCK = 1 << 18  # the bytes of rows _template_digits checks at a time
 
 
 def _json_matrices(data, fields):
     """The document of the JSON bytes ``data``, with each of its top-level
-    ``fields``, a matrix of the JSON integers 0 and 1 in any whitespace
-    layout, as an int8 matrix; None for any other file.
+    ``fields``, a matrix of the JSON integers 0 and 1 with every row laid out
+    as the first, as an int8 matrix; None for any other file.
 
     The first occurrence of each field's key is followed by ":" and a block
-    that ends at the last "]" before the next '"': with its whitespace
-    removed, J rows on the template ``[d,...,d]``. The rest of the document
-    goes to ``json`` with ``NaN`` in place of each block, and must keep
-    exactly those ``NaN`` as the fields' values: a duplicate, escaped or
-    nested key, or a ``NaN`` of the file's own, declines the file.
+    that ends at the last "]" before the next '"'. Its first row and the
+    separator after it ("," for one row), with digits set to "0", are the
+    row template: with whitespace removed, ``_row_template(K)``. Every row is
+    checked in place against it, the last with the separator appended.
+    The rest goes to ``json`` with ``NaN`` in place of each block,
+    and must keep exactly those ``NaN`` as the fields' values: a duplicate,
+    escaped or nested key, or a ``NaN`` of the file's own, declines the file.
     """
     blocks = []
     for field in fields:
@@ -385,17 +391,22 @@ def _json_matrices(data, fields):
         if colon < 0 or data[at:colon].strip(_JSON_SPACE):
             return None
         quote = data.find(b'"', colon)
-        stop = data.rfind(b"]", colon, quote if quote >= 0 else len(data)) + 1
-        # "[" + J rows "[d,...,d]" joined by "," + "]": J times the row
-        # template "[d,...,d]," once the outer brackets are swapped for a comma.
-        block = data[colon + 1:stop].translate(None, _JSON_SPACE)
-        k = (block.find(b"]") - 1) // 2
-        if block[:1] + block[-1:] != b"[]" or k < 1:
+        stop = data.rfind(b"]", colon, quote if quote >= 0 else len(data))
+        row = _FIRST_ROW.match(data, colon + 1)
+        if row is None or stop < row.end(1):
             return None
-        matrix = _template_digits([memoryview(block)[1:-1], b","], _row_template(k))
+        first, last, sep = row.start(1), data.rfind(b"]", 0, stop) + 1, row[2] or b","
+        template = (row[1] + sep).replace(b"1", b"0")
+        k, width = template.count(b"0"), len(template)
+        tail = last + len(sep) - width  # the last row's start
+        if (tail - first) % width or k < 1 or data[last:stop].strip(_JSON_SPACE) or (
+            template.translate(None, _JSON_SPACE) != _row_template(k)
+        ):
+            return None
+        matrix = _template_digits([memoryview(data)[first:tail], data[tail:last] + sep], template)
         if matrix is None:
             return None
-        blocks.append((colon + 1, stop, field, matrix))
+        blocks.append((colon + 1, stop + 1, field, matrix))
     pieces, at = [], 0
     for start, stop, _, _ in sorted(blocks):
         pieces += [data[at:start], b"NaN"]
@@ -420,23 +431,31 @@ def _json_matrices(data, fields):
     return doc
 
 
-def _template_digits(pieces, template):
-    """The J x K int8 matrix of the digits of the joined byte ``pieces``,
-    which must be J >= 1 repetitions of ``template`` byte for byte, except
-    that each of its K "0" may be "1"; every digit sits at an odd offset of
-    the template. None if any byte is off."""
-    text = bytearray().join(pieces)  # one copy, checked and decoded in place
-    width = len(template)
-    if not text or len(text) % width:
+def _template_digits(views, template):
+    """The J x K int8 matrix of the digits of the rows in the buffers
+    ``views``, each ``template`` byte for byte except that each of its K
+    evenly spaced "0" may be "1"; None for any other. The buffers are read in
+    place, ``_BLOCK`` bytes of rows at a time: no temporary is matrix-sized."""
+    expected, width = np.frombuffer(template, np.uint8), len(template)
+    digits = expected == ord("0")
+    columns = np.flatnonzero(digits)
+    step = columns[1] - columns[0] if len(columns) > 1 else 1
+    cells = slice(columns[0], columns[0] + step * len(columns), step)
+    if not np.array_equal(np.arange(width)[cells], columns):
         return None
-    rows = np.frombuffer(text, np.uint8).reshape(-1, width)
-    expected = np.frombuffer(template, np.uint8)
-    # Each byte minus its template byte is 0, or 1 on a digit; anything below
-    # the template byte wraps around to a large uint8.
-    rows -= expected
-    if not (rows.max(axis=0) <= (expected == ord("0"))).all():
-        return None
-    return np.ascontiguousarray(rows[:, 1 : 2 * template.count(b"0") : 2]).view(np.int8)
+    matrix = np.empty((sum(map(len, views)) // width, len(columns)), np.uint8)
+    height, at = max(1, _BLOCK // width), 0
+    for view in views:
+        rows = np.frombuffer(view, np.uint8).reshape(-1, width)
+        for i in range(0, len(rows), height):
+            # Each byte minus its template byte is 0, or 1 on a digit;
+            # anything below the template byte wraps around to a large uint8.
+            block = rows[i : i + height] - expected
+            if not (block.max(axis=0) <= digits).all():
+                return None
+            matrix[at : at + len(block)] = block[:, cells]
+            at += len(block)
+    return matrix.view(np.int8)
 
 
 def latent_to_document(latent):
@@ -637,7 +656,8 @@ def _csv_matrix(data):
         return None  # no cited id, no body row, or a blank or short row
     ends = ends.tolist()
     view = memoryview(data)  # slices of it are not copies
-    matrix = _template_digits([view[end - width : end] for end in ends[1:]], b",0" * (width // 2))
+    matrix = _template_digits([b"".join([view[end - width : end] for end in ends[1:]])],
+                              b",0" * (width // 2))
     prefixes = b"\n".join([view[start + 1 : end - width] for start, end in zip(ends, ends[1:])])
     try:
         header = header.decode("utf-8").split(",")

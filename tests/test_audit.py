@@ -116,10 +116,32 @@ class TestSimilarityMatrix:
             build_similarity(["a", "b"], [0, 1], [[0.0]])
         with pytest.raises(DimensionMismatch, match=r"^one timestamp per paper id required$"):
             build_similarity(["a", "b"], [0], [[0, 0.5], [0.5, 0]])
+        with pytest.raises(DimensionMismatch, match=r"^scores must be a 2-D matrix, got ragged"):
+            build_similarity(["a", "b"], [0, 1], [[0, 0.5], [0.5]])
 
     def test_rejects_out_of_range_scores(self):
         with pytest.raises(DimensionMismatch):
             build_similarity(["a", "b"], [0, 1], [[0, 1.5], [1.5, 0]])
+
+    @pytest.mark.parametrize("scores", [
+        np.array([[0, 0.5 + 1j], [0.5 - 1j, 0]]),
+        [[0, 0.5j], [0.5j, 0]],
+        [[0, "0.5"], ["0.5", 0]],
+        np.array([[0, "x"], ["x", 0]], dtype=object),
+        np.array([[0, 0.5j], [0.5j, 0]], dtype=object),
+    ])
+    def test_rejects_scores_that_are_not_real(self, scores):
+        # Not a complex part dropped with a ComplexWarning, nor numpy's raw
+        # ValueError for a string.
+        with pytest.raises(TypeError, match=r"^scores must be real numbers"):
+            build_similarity(["a", "b"], [0, 1], scores)
+
+    def test_accepts_real_scores_of_any_real_dtype(self):
+        for scores in ([[0, 1], [1, 0]], np.array([[0, 0.5], [0.5, 0]], dtype=object),
+                       np.array([[1, 0], [0, 1]], dtype=np.float32), np.eye(2, dtype=bool)):
+            sim = build_similarity(["a", "b"], [0, 1], scores)
+            assert sim.scores.dtype == np.float64
+            assert sim.scores.tolist() == np.asarray(scores, dtype=float).tolist()
 
     def test_compares_by_identity(self):
         # Equal-valued matrices compare unequal rather than raise numpy's

@@ -10,6 +10,7 @@ with the same text.
 
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -132,7 +133,8 @@ def test_byte_path_accepts_what_citenoise_and_json_write(tmp_path, seed):
     s = random_system(np.random.default_rng(seed))
     doc = cio.system_to_document(s)
     for text in (cio.dump_json(doc), json.dumps(as_lists(doc)),
-                 json.dumps(as_lists(doc), indent="\t")):
+                 json.dumps(as_lists(doc), indent="\t"), json.dumps(as_lists(doc), indent=4),
+                 json.dumps(as_lists(doc), separators=(",", ":"))):
         decoded = cio._json_matrices(text.encode(), ("realized", "accurate"))
         assert decoded is not None
         assert cio.system_from_document(decoded) == s
@@ -145,6 +147,53 @@ def test_byte_path_accepts_what_citenoise_and_json_write(tmp_path, seed):
         decoded = cio._csv_matrix(path.read_bytes())
         assert decoded is not None
         assert np.array_equal(decoded[2], matrix) and decoded[2].dtype == np.int8
+
+
+def _compact_then_indented(rows):
+    indented = [json.dumps(row, indent=2).replace("\n", "\n    ") for row in rows[1:]]
+    return "[" + json.dumps(rows[0]) + ",\n    " + ",\n    ".join(indented) + "\n  ]"
+
+
+def _unevenly_spaced(rows):
+    return json.dumps([json.dumps(row[:1])[:-1] + "," + json.dumps(row[1:])[1:]
+                       for row in rows]).replace('"', "")
+
+
+@pytest.mark.parametrize("layout", [_compact_then_indented, _unevenly_spaced])
+def test_irregular_layouts_go_to_the_per_cell_decoder(tmp_path, layout):
+    """A matrix whose first row is compact and whose other rows are indented
+    is off its first row's template, and one whose cells are not evenly
+    spaced (``[0,1, 0]``) has no strided digit columns: the byte path
+    declines both, and the per-cell decoder reads them."""
+    system = random_system(np.random.default_rng(0))
+    rows = system.realized.tolist()
+    assert len(rows) >= 2 and len(rows[0]) >= 3
+    doc = {**as_lists(cio.system_to_document(system)), "realized": None}
+    text = json.dumps(doc, indent=2).replace('"realized": null', '"realized": ' + layout(rows))
+    assert json.loads(text)["realized"] == rows
+    assert cio._json_matrices(text.encode(), ("realized", "accurate")) is None
+    (tmp_path / "system.json").write_text(text)
+    assert cio.load_system(tmp_path / "system.json") == system
+    assert_same_outcome({"system.json": text.encode()}, cio.load_system)
+
+
+def test_matrices_decode_in_place():
+    """A dump_json'd 2000 x 100 system: each matrix is checked in place, a
+    block of rows at a time, so decoding peaks below half the file's length,
+    against about 1.1 times when each matrix was copied whole twice."""
+    rng = np.random.default_rng(1)
+    system = build_system(["a"], [(f"p{i}", 0) for i in range(2000)],
+                          [f"c{k}" for k in range(100)],
+                          rng.integers(0, 2, (2000, 100)), rng.integers(0, 2, (2000, 100)))
+    data = cio.dump_json(cio.system_to_document(system)).encode()
+    tracemalloc.start()
+    try:
+        decoded = cio._json_matrices(data, ("realized", "accurate"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cio.system_from_document(decoded) == system
+    assert peak < 0.5 * len(data)
 
 
 def test_matrices_before_an_id_that_spells_their_key():

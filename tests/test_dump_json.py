@@ -4,10 +4,11 @@ document with every numpy array in it as its ``.tolist()``.
 Each top-level value takes one of four paths: a non-empty 2-D int8 array of
 0s and 1s is rendered from its bytes; a non-empty 2-D float64 array with
 each distinct value's ``repr`` computed once, unless it holds a NaN or an
-infinity; a non-empty list of flat records and a non-empty list of scalars
-by templates, where one rule says which lists render: all strings, or all
-exact ints and finite floats. Any other array goes on as its ``.tolist()``,
-and any other value, a list of lists too, falls back to ``json.dumps``.
+infinity; a non-empty list of records, whose fields may hold records, and
+a non-empty list of scalars by templates, where one rule says which lists
+render: all strings, or all exact ints and finite floats. Any other array
+goes on as its ``.tolist()``, and any other value, a list of lists too,
+falls back to ``json.dumps``.
 These tests compare the renderer with ``json.dumps`` on generated documents,
 one example per fallback shape, and on every JSON output the CLI writes,
 the audit's list of duplicate entries included. ``io.dump_omissions``
@@ -63,11 +64,14 @@ KEYS = ["id", "flag", 'q"', "%s", "é", 1]
 
 @st.composite
 def record_lists(draw):
-    """Records with one key order and one kind per field, then at most one
-    record perturbed: keys reordered or missing, or one field of another kind."""
+    """Records with one key order and one kind per field, a flat record with
+    one key order among them, then at most one record perturbed: keys
+    reordered or missing, or one field of another kind."""
     keys = draw(st.lists(st.sampled_from(KEYS), unique=True, min_size=1, max_size=3))
+    inner = draw(st.lists(st.sampled_from(KEYS), unique=True, min_size=1, max_size=2))
+    flat = st.fixed_dictionaries(dict.fromkeys(inner, numbers))
     kinds = [
-        draw(st.sampled_from([ids, st.integers(), finite, numbers, ids | numbers | odd]))
+        draw(st.sampled_from([ids, st.integers(), finite, numbers, ids | numbers | odd, flat]))
         for _ in keys
     ]
     records = [
@@ -267,9 +271,10 @@ def test_templates_render_the_large_kinds():
         "mixed-field": [{"n": 1}, {"n": 2.5}, {"n": -3}],
         "citing_papers": report["citing_papers"],
         "cited_papers": report["cited_papers"],
+        "authors": report["authors"],
     }
     for key in ("flags", "percent-keys", "float-field", "mixed-field", "citing_papers",
-                "cited_papers"):
+                "cited_papers", "authors"):
         assert cio._flat_records(doc[key]) is not None, key
     assert all(cio._scalars(row) is not None for row in doc["matrix"])
     assert cio._scalars(doc["vector"]) is not None

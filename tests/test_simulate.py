@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -610,6 +611,10 @@ class TestRetestCount:
     # One flush of the uint8 counts after 255 occasions, and one at the end.
     @example(cfg(n_authors=4, papers_per_author=3, n_cited=5, base_error=0.3,
                  interaction_spread=0.2), 256)
+    # Error counts [8, 6, 7, 5, 4] of 9: the stable variance is exactly 0,
+    # and the sqrt of a float formula's rounding would read 5e-09.
+    @example(cfg(seed=1, n_authors=1, papers_per_author=1, n_cited=5, base_error=0.5625,
+                 level_spread=0.25, interaction_spread=0.03125, bias_shift=0.03125), 9)
     def test_equals_the_checked_decomposition_on_any_cpu_count(self, config, t):
         config = dataclasses.replace(config, replicates=t)
         got = set()
@@ -617,8 +622,9 @@ class TestRetestCount:
             with mock.patch.object(simulate, "_usable_cpus", lambda: cpus):
                 got.add(decompose_pattern_noise(*replicate_decisions(config)))
         assert len(got) == 1
-        expected = stacked_decomposition(*replicate_decisions(config))
-        assert got.pop() == pytest.approx(expected, abs=1e-12)
+        stable, occasion = got.pop()
+        expected = exact_variances(*replicate_decisions(config))
+        assert (stable**2, occasion**2) == pytest.approx(expected, abs=1e-12)
 
     def test_an_error_in_a_workers_draw_propagates(self):
         # Occasion 13, key (2 + 13,), fails; the draws run on the calling
@@ -675,6 +681,27 @@ def stacked_decomposition(realized, latent):
         total += block[0].size * float(((block - block.mean()) ** 2).mean())
     total_var = total / (errors.shape[1] * errors.shape[2])
     return math.sqrt(max(0.0, total_var - occasion_var)), math.sqrt(occasion_var)
+
+
+def exact_variances(realized, latent):
+    """(stable, occasion) variances of the replicates, exact as Fractions of
+    each cell's error count c of T, rounded once to floats. An error is 0 or
+    1, so its square is itself: a cell's occasion variance is
+    c (T - c) / (T (T - 1)), and an author's block of N = T n K errors, with
+    sum S, has mean squared deviation S / N - (S / N)^2."""
+    realized = list(realized)
+    t = len(realized)
+    counts = sum(np.abs(r.astype(np.int64) - latent.accurate) for r in realized)
+    j, k = counts.shape
+    occasion = sum(Fraction(c * (t - c), t * (t - 1)) for c in counts.ravel().tolist())
+    occasion /= j * k
+    total = Fraction(0)
+    for i in np.unique(latent.author_of_paper):
+        block = counts[latent.author_of_paper == i]
+        share = Fraction(int(block.sum()), t * block.size)
+        total += block.size * (share - share**2)
+    total /= j * k
+    return float(max(Fraction(0), total - occasion)), float(occasion)
 
 
 def shuffled_rows(realized, latent, rng):
