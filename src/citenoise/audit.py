@@ -17,6 +17,7 @@ from .errors import (
     DimensionMismatch,
     EmptyKey,
     EmptyReason,
+    InvalidConfig,
     MalformedRow,
     NonSymmetric,
     ParseError,
@@ -67,7 +68,7 @@ def build_similarity(paper_ids, timestamps, scores):
         raise DimensionMismatch("one timestamp per paper id required")
     if s.shape != (n, n):
         raise DimensionMismatch(f"similarity matrix {s.shape} vs {n} papers")
-    _check_unique(paper_ids, "paper")
+    _check_unique(paper_ids, "paper", "paper_ids")
     if not np.isfinite(s).all():
         raise DimensionMismatch("similarity scores must be finite")
     if n and np.abs(s - s.T).max() > SYMMETRY_TOL:
@@ -109,7 +110,8 @@ def omission_indicator(sim, citations, k):
     most-similar set break by higher similarity, then earlier timestamp,
     then input order. If k exceeds the number of predecessors, all
     predecessors are used and a warning is emitted. ``k`` is any integer
-    (a numpy one too) but a bool.
+    (a numpy one too) but a bool, TypeError otherwise, and at least 1,
+    InvalidConfig otherwise.
 
     Every paper's set is picked at once, with no per-paper loop but the
     warnings: one n x n float temporary holds the negated scores, with +inf
@@ -122,9 +124,9 @@ def omission_indicator(sim, citations, k):
     try:
         k = _as_integer(k)
     except TypeError:
-        raise ValueError(f"k must be an integer, got {k!r}") from None
+        raise TypeError(f"k must be an integer, got {k!r}") from None
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InvalidConfig(f"k must be >= 1, got {k}")
     c = _as_binary_matrix(citations, "citations")
     n = len(sim.paper_ids)
     if c.shape != (n, n):
@@ -202,8 +204,11 @@ def parse_justification_table(text):
     Returns a tuple of :class:`JustificationEntry`, one per row in file
     order. Rows are ``key | section | reason`` or ``key | reason`` (the
     section then comes from the most recent ``Section: ...`` row). ``#``
-    lines are comments; a leading header row is skipped.
+    lines are comments; a leading header row is skipped. ``text`` is a str,
+    TypeError otherwise.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"text must be a str, not {type(text).__name__}")
     entries = []
     section = ""
     seen_first_row = False
@@ -256,14 +261,31 @@ class AuditReport:
     coverage_ratio: float
 
 
+def _iterable_of(values, kind, name):
+    """The items of ``values`` as a list; TypeError naming ``name`` unless it
+    is an iterable of ``kind`` items other than a str or bytes."""
+    try:
+        items = None if isinstance(values, (str, bytes)) else list(values)
+    except TypeError:  # not iterable
+        items = None
+    if items is None or not all(isinstance(item, kind) for item in items):
+        raise TypeError(f"{name} must be a non-string iterable of {kind.__name__} items")
+    return items
+
+
 def audit_justification(reference_keys, in_text_keys, entries):
     """Cross-check in-text citation keys against justification entries.
 
     Keys are canonicalized before comparison; a key justified anywhere in
     the table counts as justified for all its in-text occurrences.
+    ``reference_keys`` and ``in_text_keys`` are iterables of strings and
+    ``entries`` one of :class:`JustificationEntry`, none of them a str;
+    TypeError naming the argument otherwise.
     """
-    refs = {canonicalize_key(k) for k in reference_keys}
-    intext = list(dict.fromkeys(canonicalize_key(k) for k in in_text_keys))
+    refs = set(map(canonicalize_key, _iterable_of(reference_keys, str, "reference_keys")))
+    intext = _iterable_of(in_text_keys, str, "in_text_keys")
+    intext = list(dict.fromkeys(map(canonicalize_key, intext)))
+    entries = _iterable_of(entries, JustificationEntry, "entries")
     jt_keys = dict.fromkeys(canonicalize_key(e.key) for e in entries)
 
     unjustified = tuple(k for k in intext if k not in jt_keys)

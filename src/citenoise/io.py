@@ -24,11 +24,12 @@ The 0/1 matrices (a system's ``realized`` and ``accurate``, the omission
 input's ``cites``) are first decoded straight from the file's bytes, each
 row checked against one row template by :func:`_template_digits`, a block of
 rows at a time: in place for a JSON document whose rows are all laid out as
-its first (:func:`_json_matrices`), from the joined cells of a CSV file
-(:func:`_csv_matrix`). This byte path only accepts: it raises nothing, and
-on any file off its template it declines, and the same bytes are decoded
-again from the start by the per-cell decoder (``json`` then
-:func:`_binary_cells`, or the ``csv`` reader of :func:`_read_matrix_csv`).
+its first (:func:`_json_matrices`), from the cells of a CSV file joined a
+block of rows at a time (:func:`_csv_matrix`). This byte path only accepts:
+it raises nothing, and on any file off its template it declines, and the
+same bytes are decoded again from the start by the per-cell decoder
+(``json`` then :func:`_binary_cells`, or the ``csv`` reader of
+:func:`_read_matrix_csv`).
 That decoder is the only judge of a bad file, so every error type, message,
 offset and line number is its own, and a file both accept gives the same
 ids, owners and int8 matrices. The writer is the
@@ -403,7 +404,8 @@ def _json_matrices(data, fields):
             template.translate(None, _JSON_SPACE) != _row_template(k)
         ):
             return None
-        matrix = _template_digits([memoryview(data)[first:tail], data[tail:last] + sep], template)
+        views = [memoryview(data)[first:tail], data[tail:last] + sep]
+        matrix = _template_digits(views, template, (tail - first) // width + 1)
         if matrix is None:
             return None
         blocks.append((colon + 1, stop + 1, field, matrix))
@@ -431,11 +433,12 @@ def _json_matrices(data, fields):
     return doc
 
 
-def _template_digits(views, template):
-    """The J x K int8 matrix of the digits of the rows in the buffers
-    ``views``, each ``template`` byte for byte except that each of its K
-    evenly spaced "0" may be "1"; None for any other. The buffers are read in
-    place, ``_BLOCK`` bytes of rows at a time: no temporary is matrix-sized."""
+def _template_digits(views, template, j):
+    """The J x K int8 matrix of the digits of the ``j`` rows in the buffers
+    that the iterable ``views`` yields, each ``template`` byte for byte except
+    that each of its K evenly spaced "0" may be "1"; None for any other. The
+    buffers are read in place, ``_BLOCK`` bytes of rows at a time: no
+    temporary is matrix-sized."""
     expected, width = np.frombuffer(template, np.uint8), len(template)
     digits = expected == ord("0")
     columns = np.flatnonzero(digits)
@@ -443,7 +446,7 @@ def _template_digits(views, template):
     cells = slice(columns[0], columns[0] + step * len(columns), step)
     if not np.array_equal(np.arange(width)[cells], columns):
         return None
-    matrix = np.empty((sum(map(len, views)) // width, len(columns)), np.uint8)
+    matrix = np.empty((j, len(columns)), np.uint8)
     height, at = max(1, _BLOCK // width), 0
     for view in views:
         rows = np.frombuffer(view, np.uint8).reshape(-1, width)
@@ -644,7 +647,8 @@ def _csv_matrix(data):
     and J >= 1 rows ``<id>,<author>,<K cells of 0 or 1>``, each ending in LF,
     with no quote, CR, NUL or blank line and no field longer than
     ``csv.field_size_limit()``; None for any other file. The last 2K bytes
-    of all rows, ",d,...,d", are checked and decoded at once.
+    of each row, ",d,...,d", are joined and checked about ``_BLOCK`` bytes of
+    rows at a time, so no joined copy is matrix-sized.
     """
     # The csv module of Python 3.10 rejects a NUL; later ones keep it.
     if not data.endswith(b"\n") or any(c in data for c in (b'"', b"\r", b"\0")):
@@ -656,8 +660,12 @@ def _csv_matrix(data):
         return None  # no cited id, no body row, or a blank or short row
     ends = ends.tolist()
     view = memoryview(data)  # slices of it are not copies
-    matrix = _template_digits([b"".join([view[end - width : end] for end in ends[1:]])],
-                              b",0" * (width // 2))
+    height = max(1, _BLOCK // width)
+    blocks = (
+        b"".join([view[end - width : end] for end in ends[i : i + height]])
+        for i in range(1, len(ends), height)
+    )
+    matrix = _template_digits(blocks, b",0" * (width // 2), len(ends) - 1)
     prefixes = b"\n".join([view[start + 1 : end - width] for start, end in zip(ends, ends[1:])])
     try:
         header = header.decode("utf-8").split(",")
@@ -690,17 +698,14 @@ def load_system_csv(realized_path, accurate_path):
         return build_system(list(author_index), citing, cited_r, matrix_r, matrix_a)
 
 
-def _write_matrix_csv(system, matrix, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["citing_paper", "author", *system.cited_paper_ids])
-        for j, (pid, ai) in enumerate(system.citing_papers):
-            writer.writerow([pid, system.author_ids[ai], *matrix[j].tolist()])
-
-
 def save_system_csv(system, realized_path, accurate_path):
-    _write_matrix_csv(system, system.realized, realized_path)
-    _write_matrix_csv(system, system.accurate, accurate_path)
+    for matrix, path in ((system.realized, realized_path), (system.accurate, accurate_path)):
+        out = _io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["citing_paper", "author", *system.cited_paper_ids])
+        for (pid, ai), row in zip(system.citing_papers, matrix.tolist()):
+            writer.writerow([pid, system.author_ids[ai], *row])
+        write_text(out.getvalue(), path)
 
 
 # -- report documents ---------------------------------------------------------

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import error_matrix
+from .model import _check_system, error_matrix
 
 
 class BiasDirection(Enum):
@@ -97,13 +97,14 @@ def _bias(tc, ec):
 
 def citation_bias(system):
     """Signed gap between mean realized and mean expected citation counts."""
+    _check_system(system)
     return _bias(system.realized.sum(axis=0), system.accurate.sum(axis=0))
 
 
 def analyze(system):
     """Every decomposition statistic, from integer error and citation counts."""
+    errors = error_matrix(system)  # checks that ``system`` is a system
     j, k = system.n_citing, system.n_cited
-    errors = error_matrix(system)
     row_errors = np.count_nonzero(errors, axis=1)
     authors = np.fromiter((a for _, a in system.citing_papers), np.intp, j)
     n, sums, within = _grouped(row_errors, authors, system.n_authors)

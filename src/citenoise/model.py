@@ -55,6 +55,8 @@ def _as_binary_matrix(rows, name):
         raise DimensionMismatch(f"{name} must be a 2-D matrix, got ragged rows") from None
     if arr.ndim != 2:
         raise DimensionMismatch(f"{name} must be a 2-D matrix, got ndim={arr.ndim}")
+    if arr.dtype.kind == "c":  # astype(int8) would drop the imaginary part
+        raise TypeError(f"{name} must hold real numbers, not {arr.dtype}")
     if arr.dtype == np.int8:
         binary = _binary_int8(arr)
     else:
@@ -103,10 +105,16 @@ class CitationSystem:
         )
 
 
-def _check_unique(ids, what):
+def _check_unique(ids, what, name):
+    """DuplicateId for a repeated id; TypeError naming ``name`` for an
+    unhashable one."""
     seen = set()
     for x in ids:
-        if x in seen:
+        try:
+            repeated = x in seen
+        except TypeError:
+            raise TypeError(f"{name} must hold hashable ids, got {x!r}") from None
+        if repeated:
             raise DuplicateId(f"duplicate {what} id: {x!r}")
         seen.add(x)
 
@@ -150,9 +158,9 @@ def build_system(author_ids, citing_papers, cited_paper_ids, realized, accurate)
             f"{len(citing_papers)} citing x {len(cited_paper_ids)} cited papers"
         )
 
-    _check_unique(author_ids, "author")
-    _check_unique([pid for pid, _ in citing_papers], "citing-paper")
-    _check_unique(cited_paper_ids, "cited-paper")
+    _check_unique(author_ids, "author", "author_ids")
+    _check_unique([pid for pid, _ in citing_papers], "citing-paper", "citing_papers")
+    _check_unique(cited_paper_ids, "cited-paper", "cited_paper_ids")
 
     owners = set()
     for pid, ai in citing_papers:
@@ -169,8 +177,15 @@ def build_system(author_ids, citing_papers, cited_paper_ids, realized, accurate)
     return CitationSystem(author_ids, citing_papers, cited_paper_ids, r, a)
 
 
+def _check_system(system):
+    """TypeError naming ``system`` unless it is a :class:`CitationSystem`."""
+    if not isinstance(system, CitationSystem):
+        raise TypeError(f"system must be a CitationSystem, not {type(system).__name__}")
+
+
 def error_matrix(system):
     """Read-only J x K int8 array, 1 exactly where realized and accurate differ."""
+    _check_system(system)
     e = (system.realized != system.accurate).view(np.int8)
     e.setflags(write=False)
     return e

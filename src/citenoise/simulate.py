@@ -32,7 +32,8 @@ CLI's ``retest`` is ``decompose_pattern_noise(*replicate_decisions(config))``.
 draws and the two per-author tables, without building pi or the realized
 matrix, on the same threads, and adds them up in order. So no result
 depends on how many CPUs there are.
-``aggregation_curve`` draws from the seed's own stream.
+``aggregation_curve`` draws from the empty key: ``_rng(seed)`` is the
+stream of ``SeedSequence(seed)`` itself.
 """
 
 import collections
@@ -277,10 +278,10 @@ def decompose_pattern_noise(realized, latent):
     """Split test-retest pattern variance into stable and occasion parts.
 
     ``realized`` is any iterable of T matrices over the accurate matrix and
-    author labels of ``latent``, as :func:`replicate_decisions` returns them;
-    each is read once, in turn, and must be a 0/1 matrix of the accurate
-    matrix's shape (NonBinaryEntry or DimensionMismatch naming
-    ``realized[i]`` otherwise).
+    author labels of the :class:`LatentTruth` ``latent`` (TypeError for any
+    other value), as :func:`replicate_decisions` returns them; each is read
+    once, in turn, and must be a 0/1 matrix of the accurate matrix's shape
+    (NonBinaryEntry or DimensionMismatch naming ``realized[i]`` otherwise).
 
     Works at the decision-cell level: for each cell the error indicator is
     observed across T occasions. The occasion component is the mean
@@ -288,6 +289,8 @@ def decompose_pattern_noise(realized, latent):
     the total is the variance of all indicators around their author's
     pooled mean; the stable component is the nonnegative remainder.
     """
+    if not isinstance(latent, LatentTruth):
+        raise TypeError(f"latent must be a LatentTruth, not {type(latent).__name__}")
     s = np.zeros(latent.accurate.shape, dtype=np.int64)
     # Errors are counted in uint8, which cannot overflow in 255 occasions,
     # and added into s every 255.
@@ -304,18 +307,10 @@ def decompose_pattern_noise(realized, latent):
     s += c
     if t < 2:
         raise InsufficientReplicates("need at least 2 occasions")
-    return _sigmas(s, t, latent)
-
-
-def _sigmas(s, t, latent):
-    """The (stable, occasion) stds from each cell's error count ``s`` over
-    ``t`` occasions.
-
-    Errors are binary, so each cell's count is sufficient: the squared
-    deviations of its T indicators around their mean sum to s (T - s) / T,
-    and the kernel's within-author term on s is T^2 times that of the cell
-    means around their author's mean.
-    """
+    # Errors are binary, so each cell's count s is sufficient: the squared
+    # deviations of its T indicators around their mean sum to s (T - s) / T,
+    # and the kernel's within-author term on s is T^2 times that of the cell
+    # means around their author's mean.
     spread = float((s * (t - s)).sum())
     occasion_var = spread / (t * (t - 1) * s.size)
     _, _, within = _grouped(s, latent.author_of_paper, len(latent.author_offsets))
@@ -354,7 +349,7 @@ def aggregation_curve(config, sample_sizes, trials):
     if any(not 1 <= n <= _MAX_SAMPLE_SIZE for n in sample_sizes):
         raise InvalidConfig(f"sample sizes must be in [1, {_MAX_SAMPLE_SIZE}]")
     p = config.should_cite_prob
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    rng = _rng(config.seed)
     rows = []
     for n in sample_sizes:
         means = rng.binomial(n, p, size=trials) / n
@@ -418,16 +413,13 @@ def _usable_cpus():
 
 
 def _in_order(fn, items):
-    """``map(fn, items)``, run on one thread per usable CPU when there are
-    more than one: ``items`` is drawn in order on the calling thread, at most
-    two calls per thread are in flight, and results come in order. An error
-    propagates when its result is reached; the calls not yet started are
-    then cancelled and the threads joined, as they are when the iterator is
-    closed."""
+    """``map(fn, items)``, run on a pool of one thread per usable CPU, so on
+    one thread on one CPU: ``items`` is drawn in order on the calling thread,
+    at most two calls per thread are in flight, and results come in order.
+    An error propagates when its result is reached; the calls not yet
+    started are then cancelled and the threads joined, as they are when the
+    iterator is closed."""
     workers = _usable_cpus()
-    if workers == 1:
-        yield from map(fn, items)
-        return
     # Imported here, not with the module: the import costs several ms.
     from concurrent.futures import ThreadPoolExecutor
 

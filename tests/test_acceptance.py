@@ -33,7 +33,7 @@ from citenoise.cli import run_cli
 from citenoise.metrics import BiasDirection
 
 from systems import random_system
-from test_audit import brute_force_flags, random_similarity
+from test_audit import brute_force_flags, flag_dict, random_similarity
 
 
 def ok(name, detail=""):
@@ -164,7 +164,7 @@ def test_criterion_8_omission_oracle_equivalence():
         sim = random_similarity(rng, 20)
         cites = rng.integers(0, 2, (20, 20))
         for k in (1, 3, 5):
-            got = omission_indicator(sim, cites, k).flags
+            got = flag_dict(sim, omission_indicator(sim, cites, k))
             if got != brute_force_flags(sim, cites, k):
                 mismatches += 1
     assert mismatches == 0

@@ -196,6 +196,26 @@ def test_matrices_decode_in_place():
     assert peak < 0.5 * len(data)
 
 
+def test_csv_rows_are_checked_a_block_at_a_time(tmp_path):
+    """A 2000 x 400 CSV file: its cells are joined and checked a block of rows
+    at a time, so decoding peaks below 1.25 times the file's length, against
+    about 1.8 times when every row's cells were joined into one copy."""
+    rng = np.random.default_rng(2)
+    matrix = rng.integers(0, 2, (2000, 400))
+    system = build_system(["a", "b"], [(f"p{i}", i % 2) for i in range(2000)],
+                          [f"c{k}" for k in range(400)], matrix, matrix)
+    cio.save_system_csv(system, tmp_path / "r.csv", tmp_path / "a.csv")
+    data = (tmp_path / "r.csv").read_bytes()
+    tracemalloc.start()
+    try:
+        decoded = cio._csv_matrix(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert decoded is not None and np.array_equal(decoded[2], matrix)
+    assert peak < 1.25 * len(data)
+
+
 def test_matrices_before_an_id_that_spells_their_key():
     """A compact document whose matrices come first and whose ids include
     "realized" and "accurate": the key is the first occurrence of its tag, and

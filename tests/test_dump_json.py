@@ -39,6 +39,7 @@ from citenoise.cli import run_cli
 from citenoise.fixtures import fixture_names
 
 from systems import as_lists
+from test_audit import flag_dict
 
 finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [-0.0, 5e-324, 1e300, -1e-300]
@@ -380,7 +381,7 @@ def test_dump_omissions_is_json_dumps_of_the_flags_document(inputs):
         "k": int(k),
         "flags": [
             {"citing": citing, "earlier": earlier, "flag": v}
-            for (citing, earlier), v in flags.flags.items()
+            for (citing, earlier), v in flag_dict(sim, flags).items()
         ],
     }
     assert cio.dump_omissions(flags, k) == json.dumps(doc, indent=2) + "\n"

@@ -275,9 +275,62 @@ def test_one_integer_rule_keeps_each_callers_error(bad):
         build_system(authors, [("p", 0), ("q", bad)], cited, matrix, matrix)
     assert str(err.value) == message
     sim = build_similarity(["x", "y"], [0, 1], [[1.0, 0.5], [0.5, 1.0]])
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(TypeError) as err:
         omission_indicator(sim, [[0, 0], [0, 0]], bad)
     assert str(err.value) == f"k must be an integer, got {bad!r}"
     with pytest.raises(InvalidConfig) as err:
         bias_recovery(GenerativeConfig(seed=1), bad)
     assert str(err.value) == f"trials must be an integer, got {bad!r}"
+
+
+def _wrong_kinds():
+    """(call, error, parameter) for each argument of the wrong kind, or of
+    the right kind and out of range, that the library must name."""
+    from citenoise import (
+        GenerativeConfig, analyze, audit_justification, citation_bias,
+        decompose_pattern_noise, parse_justification_table, replicate_decisions,
+    )
+    from citenoise.errors import InvalidConfig
+
+    one = (["a"], [("p", 0)], ["c"], [[0]], [[0]])
+    complex_cell = np.array([[1 + 0j]])
+    _, latent = replicate_decisions(GenerativeConfig(seed=1, replicates=2))
+    sim = build_similarity(["x", "y"], [0, 1], [[0, 0.5], [0.5, 0]])
+    return {
+        "complex-realized": (lambda: build_system(*one[:3], complex_cell, [[0]]),
+                             TypeError, "realized"),
+        "complex-accurate": (lambda: build_system(*one[:4], complex_cell),
+                             TypeError, "accurate"),
+        "list-author-id": (lambda: build_system([["a"]], *one[1:]), TypeError, "author_ids"),
+        "list-citing-id": (lambda: build_system(one[0], [(["p"], 0)], *one[2:]),
+                           TypeError, "citing_papers"),
+        "list-cited-id": (lambda: build_system(*one[:2], [["c"]], *one[3:]),
+                          TypeError, "cited_paper_ids"),
+        "analyze-str": (lambda: analyze("x"), TypeError, "system"),
+        "citation_bias-none": (lambda: citation_bias(None), TypeError, "system"),
+        "error_matrix-str": (lambda: error_matrix("x"), TypeError, "system"),
+        "latent-none": (lambda: decompose_pattern_noise([latent.accurate] * 2, None),
+                        TypeError, "latent"),
+        "table-none": (lambda: parse_justification_table(None), TypeError, "text"),
+        "table-bytes": (lambda: parse_justification_table(b"a | b"), TypeError, "text"),
+        "reference-keys-str": (lambda: audit_justification("ab", ["ab"], ()),
+                               TypeError, "reference_keys"),
+        "reference-keys-int": (lambda: audit_justification([1], [], ()),
+                               TypeError, "reference_keys"),
+        "in-text-keys-str": (lambda: audit_justification(["ab"], "ab", ()),
+                             TypeError, "in_text_keys"),
+        "entries-str": (lambda: audit_justification([], [], "ab"), TypeError, "entries"),
+        "entries-tuple": (lambda: audit_justification([], [], [("k", "s", "r", 1)]),
+                          TypeError, "entries"),
+        "k-float": (lambda: omission_indicator(sim, [[0, 0], [0, 0]], 1.5), TypeError, "k"),
+        "k-zero": (lambda: omission_indicator(sim, [[0, 0], [0, 0]], 0), InvalidConfig, "k"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_wrong_kinds()))
+def test_a_bad_argument_raises_its_error_naming_the_parameter(case):
+    # A wrong kind is a TypeError, a right kind out of range a CitenoiseError;
+    # never an AttributeError, a bare ValueError or a quietly accepted value.
+    call, error, name = _wrong_kinds()[case]
+    with pytest.raises(error, match=rf"^{name} must "):
+        call()
