@@ -16,8 +16,6 @@ from .fixtures import builtin_fixture, fixture_names
 from .metrics import (
     BiasDirection,
     BiasResult,
-    CitedPaperStats,
-    CitingPaperStats,
     NoiseReport,
     analyze,
     citation_bias,

@@ -22,7 +22,7 @@ from .errors import (
     NonSymmetric,
     ParseError,
 )
-from .model import _as_binary_matrix, _as_integer, _check_unique
+from .model import _as_binary_matrix, _as_integer, _check_real, _check_unique
 
 SYMMETRY_TOL = 1e-9
 JT_HEADER = ("cited work", "section", "knowledge flowed")
@@ -51,10 +51,7 @@ def build_similarity(paper_ids, timestamps, scores):
         s = np.array(scores)  # a copy, made read-only below
     except ValueError:  # numpy's error for rows of different lengths
         raise DimensionMismatch("scores must be a 2-D matrix, got ragged rows") from None
-    if s.dtype.kind not in "biuf" and not (
-        s.dtype == object and all(isinstance(x, numbers.Real) for x in s.flat)
-    ):
-        raise TypeError(f"scores must be real numbers, not {s.dtype}")
+    _check_real(s, "scores")
     s = s.astype(float, copy=False)
     n = len(paper_ids)
     if not all(isinstance(p, str) for p in paper_ids):
@@ -105,7 +102,8 @@ class OmissionFlags:
 def omission_indicator(sim, citations, k):
     """Flag missing citations to each paper's k most similar predecessors.
 
-    ``citations`` is a square binary matrix over sim.paper_ids with
+    ``sim`` is a :class:`SimilarityMatrix` (TypeError otherwise) and
+    ``citations`` a square binary matrix over sim.paper_ids with
     citations[j][p] = 1 iff paper j cites paper p. Ties in the
     most-similar set break by higher similarity, then earlier timestamp,
     then input order. If k exceeds the number of predecessors, all
@@ -121,6 +119,8 @@ def omission_indicator(sim, citations, k):
     cells, ties at the bound included), are sorted by that order, and each
     row keeps its first k.
     """
+    if not isinstance(sim, SimilarityMatrix):
+        raise TypeError(f"sim must be a SimilarityMatrix, not {type(sim).__name__}")
     try:
         k = _as_integer(k)
     except TypeError:
@@ -190,7 +190,10 @@ class JustificationEntry:
 
 
 def canonicalize_key(key):
-    """Case-fold, trim, and collapse internal whitespace."""
+    """Case-fold, trim, and collapse internal whitespace; ``key`` is a str,
+    TypeError otherwise."""
+    if not isinstance(key, str):
+        raise TypeError(f"key must be a str, not {type(key).__name__}")
     return " ".join(key.split()).casefold()
 
 
@@ -246,9 +249,10 @@ def parse_justification_table(text):
 
 
 def serialize_justification_table(entries):
-    """Emit the canonical three-column form with LF endings."""
+    """Emit the canonical three-column form with LF endings; ``entries`` is an
+    iterable of :class:`JustificationEntry`, TypeError otherwise."""
     lines = ["Cited work | Section | Knowledge flowed"]
-    for e in entries:
+    for e in _iterable_of(entries, JustificationEntry, "entries"):
         lines.append(f"{e.key} | {e.section} | {e.reason}")
     return "\n".join(lines) + "\n"
 

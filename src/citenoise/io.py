@@ -724,20 +724,27 @@ _SUMMARY = {
 }
 
 
+def _columns(report):
+    """The report's per-paper and per-author statistics as lists of Python
+    scalars, column by column: citing (pr, pa, pe), author (error rate,
+    pattern noise) and cited (pr, tc, ec, pa, pe)."""
+    citing, cited = report.citing_paper_stats, report.cited_paper_stats
+    return (
+        [citing[name].tolist() for name in citing.dtype.names],
+        [report.author_error_rates.tolist(), report.author_pattern_noise.tolist()],
+        [cited[name].tolist() for name in cited.dtype.names],
+    )
+
+
 def report_to_document(report, system):
     """Full-precision report plus two-decimal printed renderings."""
     summary = {name: getattr(report, name) for name in _SUMMARY}
+    citing, authors, cited = _columns(report)
     return {
         "schema_version": SCHEMA_VERSION,
         "citing_papers": [
-            {
-                "id": pid,
-                "author_id": system.author_ids[ai],
-                "pr": s.pr,
-                "pa": s.pa,
-                "pe": s.pe,
-            }
-            for (pid, ai), s in zip(system.citing_papers, report.citing_paper_stats)
+            {"id": pid, "author_id": system.author_ids[ai], "pr": pr, "pa": pa, "pe": pe}
+            for (pid, ai), pr, pa, pe in zip(system.citing_papers, *citing)
         ],
         "authors": [
             {
@@ -749,13 +756,11 @@ def report_to_document(report, system):
                     "pattern_noise": _round_printed(pn),
                 },
             }
-            for aid, er, pn in zip(
-                system.author_ids, report.author_error_rates, report.author_pattern_noise
-            )
+            for aid, er, pn in zip(system.author_ids, *authors)
         ],
         "cited_papers": [
-            {"id": cid, "pr": s.pr, "tc": s.tc, "ec": s.ec, "pa": s.pa, "pe": s.pe}
-            for cid, s in zip(system.cited_paper_ids, report.cited_paper_stats)
+            {"id": cid, "pr": pr, "tc": tc, "ec": ec, "pa": pa, "pe": pe}
+            for cid, pr, tc, ec, pa, pe in zip(system.cited_paper_ids, *cited)
         ],
         **summary,
         "bias_direction": report.bias_direction.value,
@@ -776,22 +781,18 @@ def report_to_table(report, system):
             text = printed[x] = f"{_round_printed(x):.2f}"
         return text
 
+    citing, authors, cited = _columns(report)
     out.write(f"{'citing paper':<16}{'author':<10}{'PR':>6}{'PA':>6}{'PE':>6}\n")
-    for (pid, ai), s in zip(system.citing_papers, report.citing_paper_stats):
+    for (pid, ai), pr, pa, pe in zip(system.citing_papers, *citing):
         out.write(
-            f"{pid:<16}{system.author_ids[ai]:<10}"
-            f"{fmt(s.pr):>6}{fmt(s.pa):>6}{fmt(s.pe):>6}\n"
+            f"{pid:<16}{system.author_ids[ai]:<10}{fmt(pr):>6}{fmt(pa):>6}{fmt(pe):>6}\n"
         )
     out.write(f"\n{'author':<10}{'PE_i':>8}{'sigma_PN_i':>12}\n")
-    for aid, er, pn in zip(
-        system.author_ids, report.author_error_rates, report.author_pattern_noise
-    ):
+    for aid, er, pn in zip(system.author_ids, *authors):
         out.write(f"{aid:<10}{fmt(er):>8}{fmt(pn):>12}\n")
     out.write(f"\n{'cited paper':<14}{'PR':>6}{'TC':>5}{'EC':>5}{'PA':>6}{'PE':>6}\n")
-    for cid, s in zip(system.cited_paper_ids, report.cited_paper_stats):
-        out.write(
-            f"{cid:<14}{fmt(s.pr):>6}{s.tc:>5}{s.ec:>5}{fmt(s.pa):>6}{fmt(s.pe):>6}\n"
-        )
+    for cid, pr, tc, ec, pa, pe in zip(system.cited_paper_ids, *cited):
+        out.write(f"{cid:<14}{fmt(pr):>6}{tc:>5}{ec:>5}{fmt(pa):>6}{fmt(pe):>6}\n")
     for name, label in _SUMMARY.items():
         out.write(f"\n{label:<10}{fmt(getattr(report, name))}")
     # The last summary row, bias, also shows its direction.

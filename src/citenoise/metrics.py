@@ -8,11 +8,17 @@ paper-weighted root-mean of within-author variances, and the two combine
 in quadrature into the overall system noise.
 
 :func:`analyze` computes all of them in one pass and returns a
-:class:`NoiseReport`; its fields are the only way to read a statistic.
+:class:`NoiseReport`; its fields are the only way to read a statistic. The
+per-paper statistics are two read-only record arrays, one row per citing
+paper (fields ``pr, pa, pe``) and one per cited paper (``pr, tc, ec, pa,
+pe``), so ``report.cited_paper_stats[k].tc`` reads one row and
+``report.cited_paper_stats.tc`` the whole column; the author statistics are
+read-only float64 arrays.
 :func:`citation_bias` gives the TC-EC gap alone, from column counts.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,22 +34,6 @@ class BiasDirection(Enum):
 
 
 @dataclass(frozen=True)
-class CitingPaperStats:
-    pr: float  # proportion of realized citations in the row
-    pa: float  # proportion of correct decisions in the row
-    pe: float  # 1 - pa
-
-
-@dataclass(frozen=True)
-class CitedPaperStats:
-    pr: float  # column share of realized citations
-    tc: int  # times cited (column sum of realized)
-    ec: int  # expected citations (column sum of accurate)
-    pa: float  # column share of correct decisions
-    pe: float
-
-
-@dataclass(frozen=True)
 class BiasResult:
     mean_tc: float
     mean_ec: float
@@ -51,12 +41,14 @@ class BiasResult:
     direction: BiasDirection
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseReport:
-    citing_paper_stats: tuple
-    author_error_rates: tuple
-    author_pattern_noise: tuple
-    cited_paper_stats: tuple
+    """Compared by identity (eq=False): ``==`` on arrays is ambiguous."""
+
+    citing_paper_stats: np.recarray  # pr, pa, pe per citing paper
+    author_error_rates: np.ndarray
+    author_pattern_noise: np.ndarray
+    cited_paper_stats: np.recarray  # pr, tc (realized), ec (accurate), pa, pe
     pa_mean: float
     pe_mean: float
     sigma_ln: float
@@ -106,27 +98,29 @@ def analyze(system):
     errors = error_matrix(system)  # checks that ``system`` is a system
     j, k = system.n_citing, system.n_cited
     row_errors = np.count_nonzero(errors, axis=1)
-    authors = np.fromiter((a for _, a in system.citing_papers), np.intp, j)
+    authors = np.fromiter(map(operator.itemgetter(1), system.citing_papers), np.intp, j)
     n, sums, within = _grouped(row_errors, authors, system.n_authors)
     sigma_ln = math.sqrt(float((n * (sums / n - sums.sum() / j) ** 2).sum()) / j) / k
     sigma_pn = math.sqrt(within.sum() / j) / k
-    pr_rows = (np.count_nonzero(system.realized, axis=1) / k).tolist()
     tc = np.count_nonzero(system.realized, axis=0)
     ec = np.count_nonzero(system.accurate, axis=0)
-    pe_cols = (np.count_nonzero(errors, axis=0) / j).tolist()
+    pe_rows = row_errors / k
+    pe_cols = np.count_nonzero(errors, axis=0) / j
     pe_mean = int(row_errors.sum()) / errors.size
     bias = _bias(tc, ec)
+    columns = (
+        np.rec.fromarrays(
+            (np.count_nonzero(system.realized, axis=1) / k, 1.0 - pe_rows, pe_rows),
+            names="pr,pa,pe",
+        ),
+        sums / (n * k),
+        np.sqrt(within / n) / k,
+        np.rec.fromarrays((tc / j, tc, ec, 1.0 - pe_cols, pe_cols), names="pr,tc,ec,pa,pe"),
+    )
+    for c in columns:
+        c.setflags(write=False)
     return NoiseReport(
-        citing_paper_stats=tuple(
-            CitingPaperStats(pr, 1.0 - pe, pe)
-            for pr, pe in zip(pr_rows, (row_errors / k).tolist())
-        ),
-        author_error_rates=tuple((sums / (n * k)).tolist()),
-        author_pattern_noise=tuple((np.sqrt(within / n) / k).tolist()),
-        cited_paper_stats=tuple(
-            CitedPaperStats(t / j, t, e, 1.0 - pe, pe)
-            for t, e, pe in zip(tc.tolist(), ec.tolist(), pe_cols)
-        ),
+        *columns,
         pa_mean=1.0 - pe_mean,
         pe_mean=pe_mean,
         sigma_ln=sigma_ln,

@@ -6,6 +6,7 @@ citations should have been made). Every downstream statistic is a function
 of this pair plus the author -> citing-paper assignment.
 """
 
+import numbers
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -47,6 +48,15 @@ def _binary_int8(arr):
     return arr.size == 0 or arr.view(np.uint8).max() <= 1
 
 
+def _check_real(arr, name):
+    """TypeError naming ``name`` unless the array ``arr`` holds real numbers: a
+    bool, integer or float dtype, or objects that are all ``numbers.Real``."""
+    if arr.dtype.kind not in "biuf" and not (
+        arr.dtype == object and all(isinstance(x, numbers.Real) for x in arr.flat)
+    ):
+        raise TypeError(f"{name} must be real numbers, not {arr.dtype}")
+
+
 def _as_binary_matrix(rows, name):
     """``rows`` as a read-only int8 copy, if a 2-D matrix of 0s and 1s."""
     try:
@@ -55,8 +65,7 @@ def _as_binary_matrix(rows, name):
         raise DimensionMismatch(f"{name} must be a 2-D matrix, got ragged rows") from None
     if arr.ndim != 2:
         raise DimensionMismatch(f"{name} must be a 2-D matrix, got ndim={arr.ndim}")
-    if arr.dtype.kind == "c":  # astype(int8) would drop the imaginary part
-        raise TypeError(f"{name} must hold real numbers, not {arr.dtype}")
+    _check_real(arr, name)
     if arr.dtype == np.int8:
         binary = _binary_int8(arr)
     else:
@@ -135,7 +144,13 @@ def build_system(author_ids, citing_papers, cited_paper_ids, realized, accurate)
     """
     author_ids = tuple(author_ids)
     papers = []
-    for pid, ai in citing_papers:
+    for pair in citing_papers:
+        try:
+            pid, ai = pair
+        except (TypeError, ValueError):  # not a pair
+            raise TypeError(
+                f"citing_papers must hold (paper_id, author_index) pairs, got {pair!r}"
+            ) from None
         try:
             papers.append((pid, _as_integer(ai)))
         except TypeError:

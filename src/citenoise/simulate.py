@@ -239,8 +239,15 @@ def _rng(seed, *key):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
+def _check_config(config):
+    """TypeError naming ``config`` unless it is a :class:`GenerativeConfig`."""
+    if not isinstance(config, GenerativeConfig):
+        raise TypeError(f"config must be a GenerativeConfig, not {type(config).__name__}")
+
+
 def generate_system(config):
     """Sample one (system, latent truth) pair; deterministic in the seed."""
+    _check_config(config)
     latent = _sample_latent(config, _rng(config.seed, 0), _rng(config.seed, 1))
     realized = _sample_realized(latent, _rng(config.seed, 2))
     system = build_system(
@@ -264,6 +271,7 @@ def replicate_decisions(config):
     truth is sampled, and ``replicates < 2`` rejected (InvalidConfig), by the
     call itself.
     """
+    _check_config(config)
     if config.replicates < 2:
         raise InvalidConfig("occasion decomposition needs replicates >= 2")
     latent = _sample_latent(config, _rng(config.seed, 0), _rng(config.seed, 1))
@@ -342,9 +350,15 @@ def aggregation_curve(config, sample_sizes, trials):
 
     Returns a list of (n, empirical_se, theoretical_se) rows; the citation
     probability p is the config's should_cite_prob. ``trials`` and each
-    sample size are integers (numpy ones too) but not bools.
+    sample size are integers (numpy ones too) but not bools; ``sample_sizes``
+    is an iterable other than a str, TypeError otherwise.
     """
+    _check_config(config)
     trials = _check_trials(trials)
+    if isinstance(sample_sizes, (str, bytes)) or not np.iterable(sample_sizes):
+        raise TypeError(
+            f"sample_sizes must be an iterable of integers, not {type(sample_sizes).__name__}"
+        )
     sample_sizes = [_integer("sample size", n) for n in sample_sizes]
     if any(not 1 <= n <= _MAX_SAMPLE_SIZE for n in sample_sizes):
         raise InvalidConfig(f"sample sizes must be in [1, {_MAX_SAMPLE_SIZE}]")
@@ -364,6 +378,7 @@ def expected_bias(config):
     J * ((1 - 2q) * base_error + b_k); clamping is ignored, which the
     config validator keeps negligible.
     """
+    _check_config(config)
     q = config.should_cite_prob
     per_k = config.n_citing * ((1 - 2 * q) * config.base_error + config.bias_offsets())
     return float(per_k.mean())
@@ -377,6 +392,7 @@ def bias_recovery(config, trials):
     from its own keys (i, ...) and the biases are summed in trial order, so
     the result does not depend on how many CPUs there are.
     """
+    _check_config(config)
     trials = _check_trials(trials)
     total = 0.0
     keys = ((i,) for i in range(trials))

@@ -6,8 +6,6 @@ import pytest
 
 from citenoise import (
     BiasDirection,
-    CitedPaperStats,
-    CitingPaperStats,
     NoiseReport,
     analyze,
     build_system,
@@ -47,7 +45,8 @@ def brute_force_decomposition(system):
 
 
 def brute_force_report(system):
-    """Every NoiseReport field recomputed cell by cell with Python loops."""
+    """Every NoiseReport field recomputed cell by cell with Python loops; a
+    per-paper row is a tuple in the record arrays' field order."""
     n_j, n_k = system.n_citing, system.n_cited
     r, a = system.realized.tolist(), system.accurate.tolist()
     wrong = [[int(r[j][k] != a[j][k]) for k in range(n_k)] for j in range(n_j)]
@@ -64,15 +63,15 @@ def brute_force_report(system):
         tc = sum(r[j][k] for j in range(n_j))
         pe = sum(wrong[j][k] for j in range(n_j)) / n_j
         ec = sum(a[j][k] for j in range(n_j))
-        cited.append(CitedPaperStats(tc / n_j, tc, ec, 1 - pe, pe))
+        cited.append((tc / n_j, tc, ec, 1 - pe, pe))
     pe_bar, sigma_ln, sigma_pn = brute_force_decomposition(system)
-    mean_tc = sum(c.tc for c in cited) / n_k
-    mean_ec = sum(c.ec for c in cited) / n_k
+    mean_tc = sum(tc for _, tc, _, _, _ in cited) / n_k
+    mean_ec = sum(ec for _, _, ec, _, _ in cited) / n_k
     bias = mean_tc - mean_ec
     direction = {1: BiasDirection.OVER, -1: BiasDirection.UNDER, 0: BiasDirection.NONE}
     return NoiseReport(
         citing_paper_stats=tuple(
-            CitingPaperStats(sum(r[j]) / n_k, 1 - pe, pe)
+            (sum(r[j]) / n_k, 1 - pe, pe)
             for j, pe in enumerate(pe_rows)
         ),
         author_error_rates=tuple(rates),
@@ -94,6 +93,8 @@ def assert_reports_close(got, expected, tol=1e-12):
     """Same structure and enums, every number within ``tol``."""
 
     def flat(x):
+        if isinstance(x, np.ndarray):
+            x = tuple(x.tolist())
         if isinstance(x, tuple):
             return [v for item in x for v in flat(item)]
         return [x]
@@ -161,9 +162,9 @@ class TestGroupedKernelOracle:
                     expected.author_pattern_noise[i], abs=1e-12
                 )
             for j in range(s.n_citing):
-                assert r.citing_paper_stats[j] == expected.citing_paper_stats[j]
+                assert r.citing_paper_stats[j].item() == expected.citing_paper_stats[j]
             for k in range(s.n_cited):
-                assert r.cited_paper_stats[k] == expected.cited_paper_stats[k]
+                assert r.cited_paper_stats[k].item() == expected.cited_paper_stats[k]
 
 
 class TestExactZeros:
@@ -229,6 +230,13 @@ class TestAuthorErrorRate:
     def test_single_correct_paper(self):
         s = build_system(["x"], [("p", 0)], ["c"], [[1]], [[1]])
         assert analyze(s).author_error_rates[0] == 0.0
+
+
+def test_report_columns_are_read_only():
+    r = analyze(builtin_fixture("table1"))
+    for column in (r.cited_paper_stats.tc, r.citing_paper_stats.pe, r.author_error_rates):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0
 
 
 class TestCitedPaperStats:

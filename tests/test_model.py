@@ -287,20 +287,28 @@ def _wrong_kinds():
     """(call, error, parameter) for each argument of the wrong kind, or of
     the right kind and out of range, that the library must name."""
     from citenoise import (
-        GenerativeConfig, analyze, audit_justification, citation_bias,
-        decompose_pattern_noise, parse_justification_table, replicate_decisions,
+        GenerativeConfig, aggregation_curve, analyze, audit_justification, bias_recovery,
+        canonicalize_key, citation_bias, decompose_pattern_noise, expected_bias,
+        generate_system, parse_justification_table, replicate_decisions,
+        serialize_justification_table,
     )
     from citenoise.errors import InvalidConfig
 
     one = (["a"], [("p", 0)], ["c"], [[0]], [[0]])
     complex_cell = np.array([[1 + 0j]])
-    _, latent = replicate_decisions(GenerativeConfig(seed=1, replicates=2))
+    config = GenerativeConfig(seed=1, replicates=2)
+    _, latent = replicate_decisions(config)
     sim = build_similarity(["x", "y"], [0, 1], [[0, 0.5], [0.5, 0]])
     return {
         "complex-realized": (lambda: build_system(*one[:3], complex_cell, [[0]]),
                              TypeError, "realized"),
         "complex-accurate": (lambda: build_system(*one[:4], complex_cell),
                              TypeError, "accurate"),
+        "string-cell": (lambda: build_system(*one[:3], [["1"]], [[0]]), TypeError, "realized"),
+        "complex-object-cell": (lambda: build_system(*one[:3], complex_cell.astype(object),
+                                                     [[0]]), TypeError, "realized"),
+        "citing-paper-not-a-pair": (lambda: build_system(one[0], ["p"], *one[2:]),
+                                    TypeError, "citing_papers"),
         "list-author-id": (lambda: build_system([["a"]], *one[1:]), TypeError, "author_ids"),
         "list-citing-id": (lambda: build_system(one[0], [(["p"], 0)], *one[2:]),
                            TypeError, "citing_papers"),
@@ -322,6 +330,19 @@ def _wrong_kinds():
         "entries-str": (lambda: audit_justification([], [], "ab"), TypeError, "entries"),
         "entries-tuple": (lambda: audit_justification([], [], [("k", "s", "r", 1)]),
                           TypeError, "entries"),
+        "sim-none": (lambda: omission_indicator(None, [[0]], 1), TypeError, "sim"),
+        "canonicalize-int": (lambda: canonicalize_key(1), TypeError, "key"),
+        "serialize-str-entries": (lambda: serialize_justification_table(["x"]),
+                                  TypeError, "entries"),
+        "generate-none": (lambda: generate_system(None), TypeError, "config"),
+        "replicate-none": (lambda: replicate_decisions(None), TypeError, "config"),
+        "bias-recovery-none": (lambda: bias_recovery(None, 100), TypeError, "config"),
+        "expected-bias-none": (lambda: expected_bias(None), TypeError, "config"),
+        "curve-none": (lambda: aggregation_curve(None, [10], 100), TypeError, "config"),
+        "curve-int-sizes": (lambda: aggregation_curve(config, 10, 100),
+                            TypeError, "sample_sizes"),
+        "curve-str-sizes": (lambda: aggregation_curve(config, "10", 100),
+                            TypeError, "sample_sizes"),
         "k-float": (lambda: omission_indicator(sim, [[0, 0], [0, 0]], 1.5), TypeError, "k"),
         "k-zero": (lambda: omission_indicator(sim, [[0, 0], [0, 0]], 0), InvalidConfig, "k"),
     }
