@@ -22,7 +22,7 @@ from .errors import (
     NonSymmetric,
     ParseError,
 )
-from .model import _as_binary_matrix, _as_integer, _check_real, _check_unique
+from .model import _as_binary_matrix, _as_integer, _check_real, _check_unique, _iterable
 
 SYMMETRY_TOL = 1e-9
 JT_HEADER = ("cited work", "section", "knowledge flowed")
@@ -45,8 +45,8 @@ def build_similarity(paper_ids, timestamps, scores):
     """Validated similarity matrix. Ids are strings and timestamps all finite
     real numbers or all strings, so (timestamp, id) orders papers strictly;
     scores that are not real numbers (complex, strings) raise TypeError."""
-    paper_ids = tuple(paper_ids)
-    timestamps = tuple(timestamps)
+    paper_ids = tuple(_iterable(paper_ids, "paper_ids"))
+    timestamps = tuple(_iterable(timestamps, "timestamps"))
     try:
         s = np.array(scores)  # a copy, made read-only below
     except ValueError:  # numpy's error for rows of different lengths

@@ -3,11 +3,14 @@
 Every input file is read and every output written here: each input is
 opened once, by :func:`_read`, and text goes out through :func:`write_text`.
 A document may hold numpy arrays: the system and latent-truth documents keep
-their matrices and vectors as they are. JSON outputs are rendered by
+their matrices and vectors as they are, and the per-paper and per-author
+records of the system and report documents are 1-D structured arrays built
+from columns, with no per-row dict. JSON outputs are rendered by
 :func:`dump_json`, whose text is exactly ``json.dumps(doc, indent=2) + "\\n"``
 of the document with every array in it as its ``.tolist()``, for every
-JSON-able document, except the ``omissions`` document, which
-:func:`dump_omissions` renders with the same bytes straight from the flag
+JSON-able document; a structured array is rendered as the list of its rows
+as dicts of its fields. The ``omissions`` document is the exception:
+:func:`dump_omissions` renders it with the same bytes straight from the flag
 arrays, with no per-record dict or string: one string per citing paper, and
 one join of them into the text.
 Errors found while an input is loaded name the file: each file is decoded
@@ -73,19 +76,45 @@ def system_to_document(system):
     return {
         "schema_version": SCHEMA_VERSION,
         "author_ids": list(system.author_ids),
-        "citing_papers": [
-            {"id": pid, "author_id": system.author_ids[ai]}
-            for pid, ai in system.citing_papers
-        ],
+        "citing_papers": _record_array(_citing_columns(system)),
         "cited_paper_ids": list(system.cited_paper_ids),
         "realized": system.realized,
         "accurate": system.accurate,
     }
 
 
+def _objects(values):
+    """The sized iterable ``values`` as a 1-D object array, one item a cell."""
+    return np.fromiter(values, object, len(values))
+
+
+def _citing_columns(system):
+    """The ``id`` and ``author_id`` columns of ``system``'s citing papers."""
+    papers = system.citing_papers
+    owners = np.fromiter(map(itemgetter(1), papers), np.intp, len(papers))
+    return {
+        "id": np.fromiter(map(itemgetter(0), papers), object, len(papers)),
+        "author_id": _objects(system.author_ids)[owners],
+    }
+
+
+def _record_array(columns):
+    """The 1-D structured array with one field per item of the dict
+    ``columns`` (name -> equal-length 1-D array), in order."""
+    # np.zeros, not np.empty: numpy fills an empty object field with None
+    # one cell at a time.
+    records = np.zeros(
+        len(next(iter(columns.values()))),
+        [(name, column.dtype) for name, column in columns.items()],
+    )
+    for name, column in columns.items():
+        records[name] = column
+    return records
+
+
 def _strings(value, what):
     """``value`` if it is a list of strings; TypeError naming ``what`` otherwise."""
-    if type(value) is list and all(type(x) is str for x in value):
+    if type(value) is list and set(map(type, value)) <= {str}:
         return value
     raise TypeError(f"{what} must be a list of strings")
 
@@ -107,8 +136,9 @@ def _binary_cells(doc, field):
 def system_from_document(doc):
     """The system of a schema "1" document; every id must be a JSON string and
     every ``realized``/``accurate`` cell a JSON integer, unless
-    :func:`_json_matrices` already decoded the matrix. A missing or
-    wrong-typed field raises KeyError, TypeError or ValueError."""
+    :func:`_json_matrices` already decoded the matrix. The document of
+    :func:`system_to_document` is read as its JSON text would be. A missing
+    or wrong-typed field raises KeyError, TypeError or ValueError."""
     if not isinstance(doc, dict):
         raise ParseError("system document must be a JSON object")
     version = doc.get("schema_version")
@@ -116,6 +146,8 @@ def system_from_document(doc):
         raise SchemaVersionUnsupported(f"schema_version {version!r} not supported")
     author_ids = _strings(doc["author_ids"], "'author_ids'")
     entries = doc["citing_papers"]
+    if type(entries) is np.ndarray:  # records, as system_to_document builds them
+        entries = _tolist(entries)
     if type(entries) is not list:
         raise TypeError("'citing_papers' must be a list")
     paper_ids = _strings([e["id"] for e in entries], "citing paper ids")
@@ -134,17 +166,19 @@ def system_from_document(doc):
 
 def dump_json(doc):
     """``json.dumps(doc, indent=2) + "\\n"``, byte for byte, of ``doc`` with
-    every ndarray in it as its ``.tolist()``, for every JSON-able document:
-    fixed key order, LF, trailing newline.
+    every ndarray in it as its ``.tolist()``, and every structured array as
+    the list of its rows as dicts of its fields, for every JSON-able
+    document: fixed key order, LF, trailing newline.
 
     ``json.dumps`` with an indent runs the pure-Python encoder, so each
     top-level value of a dict document is rendered on its own, by one of
     four paths: a non-empty 2-D int8 array of 0s and 1s from its bytes
     (:func:`_binary_matrix`); a non-empty 2-D finite float64 array with
     one ``repr`` per distinct value (:func:`_float_matrix`); a non-empty
-    list of records, whose fields may hold records (:func:`_flat_records`);
-    and a non-empty list of scalars (:func:`_scalars`). Any other array goes
-    on as its ``.tolist()``, and any other value goes to ``json.dumps``.
+    1-D structured array column by column, whose fields may be structured
+    (:func:`_record_list`); and a non-empty list of scalars
+    (:func:`_scalars`). Any other array goes on as its ``.tolist()``, and
+    any other value goes to ``json.dumps``.
     """
     if type(doc) is not dict or not doc or not all(type(key) is str for key in doc):
         return _dumps(doc) + "\n"
@@ -156,31 +190,47 @@ def dump_json(doc):
 
 
 def _dumps(value):
-    """``json.dumps(value, indent=2)`` with every ndarray as its ``.tolist()``."""
+    """``json.dumps(value, indent=2)`` with every ndarray as :func:`_tolist`
+    gives it."""
     return json.dumps(value, indent=2, default=_tolist)
 
 
 def _tolist(value):
+    """The ndarray ``value`` as its ``.tolist()``, each record of a structured
+    array as a dict of its fields; TypeError for any other value."""
     if isinstance(value, np.ndarray):
-        return value.tolist()
+        return _as_dicts(value.tolist(), value.dtype)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _as_dicts(item, dtype):
+    """``item``, from ``.tolist()`` of an array of ``dtype``, with each record
+    (a tuple) as a dict of its fields, at any depth."""
+    if dtype.names is None:
+        return item
+    if type(item) is list:
+        return [_as_dicts(x, dtype) for x in item]
+    return {name: _as_dicts(x, dtype[name].base) for name, x in zip(dtype.names, item)}
 
 
 def _render_value(value):
     """A top-level value of a document, rendered as ``json.dumps(indent=2)``
     renders it one level deep."""
     if type(value) is np.ndarray:
-        if value.ndim == 2 and value.size:
+        text = None
+        if value.dtype.names and value.ndim == 1 and value.size:
+            text = _record_list(value)
+        elif value.ndim == 2 and value.size:
             if value.dtype == np.int8 and _binary_int8(value):
-                return _binary_matrix(value)
+                text = _binary_matrix(value)
             # Native byte order only, so that its uint64 view holds its bits.
-            if value.dtype == np.float64:
+            elif value.dtype == np.float64:
                 text = _float_matrix(value)
-                if text is not None:
-                    return text
-        value = value.tolist()
+        if text is not None:
+            return text
+        value = _tolist(value)
     if type(value) is list and value:
-        texts = _flat_records(value) if type(value[0]) is dict else _scalars(value)
+        texts = _scalars(value)
         if texts is not None:
             return "[\n    " + ",\n    ".join(texts) + "\n  ]"
     # Strings are escaped, so every newline here is structural.
@@ -222,13 +272,20 @@ def _binary_matrix(matrix):
     return str(text, "ascii")
 
 
+def _distinct(values):
+    """(the distinct values of the native float64 array ``values``, the index
+    of each of its cells, flattened, into them). Values are told apart by
+    their bits, so -0.0 and 0.0 stay two."""
+    bits, inverse = np.unique(np.ravel(values).view(np.uint64), return_inverse=True)
+    return bits.view(np.float64), inverse
+
+
 def _float_matrix(matrix):
     """The non-empty float64 matrix ``matrix`` as a top-level value of
     :func:`dump_json`, with each distinct value's ``repr`` computed once;
-    None if it holds a NaN or an infinity. Values are told apart by their
-    bits, so -0.0 and 0.0 keep their own texts."""
-    bits, inverse = np.unique(matrix.ravel().view(np.uint64), return_inverse=True)
-    texts = _scalars(bits.view(np.float64).tolist())
+    None if it holds a NaN or an infinity."""
+    distinct, inverse = _distinct(matrix)
+    texts = _scalars(distinct.tolist())
     if texts is None:
         return None
     # One join over the cells, each text followed by its separator.
@@ -251,42 +308,56 @@ def _scalars(values):
     otherwise."""
     kinds = set(map(type, values))
     if kinds <= _NUMBER_TYPES:
-        if float not in kinds:
-            return map(repr, values)
         texts = list(map(repr, values))
+        if float not in kinds:
+            return texts
         # Only a non-finite float's repr ("nan", "inf") holds an "n"; json
         # spells those NaN and Infinity.
         return None if "n" in "".join(texts) else texts
     if kinds == {str}:
-        return map(encode_basestring_ascii, values)
+        return list(map(encode_basestring_ascii, values))
     return None
 
 
-def _flat_records(records, indent="\n    "):
-    """The JSON texts, at ``indent``, of a list of dicts with one key order by
-    one template, each field's values rendered by :func:`_scalars` or, if
-    they are dicts, by this function one level deeper; None for any other."""
-    keys, inner = tuple(records[0]), indent + "  "
-    if (
-        not keys
-        or not all(type(key) is str for key in keys)
-        or set(map(type, records)) != {dict}
-        or not all(map(keys.__eq__, map(tuple, records)))
-    ):
+def _record_list(records):
+    """The non-empty 1-D structured array ``records`` as a top-level value of
+    :func:`dump_json`, by one join of its field heads and value texts; None
+    if a field holds a value no template takes."""
+    parts = _record_parts(records, "\n    ")
+    if parts is None:
         return None
-    columns = []
-    for key in keys:
-        values = list(map(itemgetter(key), records))
-        column = _scalars(values)
-        if column is None and type(values[0]) is dict:
-            column = _flat_records(values, inner)
-        if column is None:
+    parts[:-1, -1] = "\n    },\n    "  # each record's close and separator
+    return "[\n    " + "".join(parts.ravel().tolist()) + "\n  ]"
+
+
+def _record_parts(records, indent):
+    """The texts of the non-empty 1-D structured array ``records`` at
+    ``indent``, as an object array with one row per record: each field's
+    head ("{" or ",", the indented key) and value text, then the closing
+    brace. A float64 field takes one ``repr`` per distinct value, a
+    structured field this function one level deeper, and any other field
+    :func:`_scalars`; None for a field none of them takes."""
+    names, inner = records.dtype.names, indent + "  "
+    parts = np.empty((len(records), 2 * len(names) + 1), object)
+    for i, name in enumerate(names):
+        column = records[name]
+        if column.ndim != 1:  # a field with a shape of its own
             return None
-        columns.append(column)
-    fields = ("," + inner).join(
-        encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys
-    )
-    return map(("{" + inner + fields + indent + "}").__mod__, zip(*columns))
+        if column.dtype.names:
+            fields = _record_parts(column, inner)
+            texts = None if fields is None else list(map("".join, fields.tolist()))
+        elif column.dtype == np.float64:
+            distinct, inverse = _distinct(column)
+            texts = _scalars(distinct.tolist())
+            texts = None if texts is None else np.array(texts, object)[inverse]
+        else:
+            texts = _scalars(column.tolist())
+        if texts is None:
+            return None
+        parts[:, 2 * i] = ("," if i else "{") + inner + encode_basestring_ascii(name) + ": "
+        parts[:, 2 * i + 1] = texts
+    parts[:, -1] = indent + "}"
+    return parts
 
 
 def write_text(text, path):
@@ -383,11 +454,10 @@ def _json_matrices(data, fields):
     """
     blocks = []
     for field in fields:
-        tag = b'"' + field.encode() + b'"'
-        at = data.find(tag)
+        at = _find_key(data, b'"' + field.encode() + b'"', blocks)
         if at < 0:
             return None
-        at += len(tag)
+        at += len(field) + 2
         colon = data.find(b":", at)
         if colon < 0 or data[at:colon].strip(_JSON_SPACE):
             return None
@@ -433,12 +503,26 @@ def _json_matrices(data, fields):
     return doc
 
 
+def _find_key(data, tag, blocks):
+    """The offset of the first ``tag``, a quoted key with no ":", in ``data``,
+    or -1, searched for outside the spans of ``blocks`` only: the bytes from
+    a block's ":" to the next '"' hold no '"', so no tag starts in a block,
+    and none that starts before its ":" reaches into it."""
+    at = 0
+    for start, stop, _, _ in sorted(blocks):
+        found = data.find(tag, at, start)
+        if found >= 0:
+            return found
+        at = stop
+    return data.find(tag, at)
+
+
 def _template_digits(views, template, j):
     """The J x K int8 matrix of the digits of the ``j`` rows in the buffers
     that the iterable ``views`` yields, each ``template`` byte for byte except
     that each of its K evenly spaced "0" may be "1"; None for any other. The
-    buffers are read in place, ``_BLOCK`` bytes of rows at a time: no
-    temporary is matrix-sized."""
+    buffers are read in place, ``_BLOCK`` bytes of rows at a time, into one
+    block buffer: no temporary is matrix-sized."""
     expected, width = np.frombuffer(template, np.uint8), len(template)
     digits = expected == ord("0")
     columns = np.flatnonzero(digits)
@@ -448,12 +532,13 @@ def _template_digits(views, template, j):
         return None
     matrix = np.empty((j, len(columns)), np.uint8)
     height, at = max(1, _BLOCK // width), 0
+    buffer = np.empty((min(height, j), width), np.uint8)  # reused by every block
     for view in views:
         rows = np.frombuffer(view, np.uint8).reshape(-1, width)
         for i in range(0, len(rows), height):
             # Each byte minus its template byte is 0, or 1 on a digit;
             # anything below the template byte wraps around to a large uint8.
-            block = rows[i : i + height] - expected
+            block = np.subtract(rows[i : i + height], expected, out=buffer[: len(rows) - i])
             if not (block.max(axis=0) <= digits).all():
                 return None
             matrix[at : at + len(block)] = block[:, cells]
@@ -724,44 +809,36 @@ _SUMMARY = {
 }
 
 
-def _columns(report):
-    """The report's per-paper and per-author statistics as lists of Python
-    scalars, column by column: citing (pr, pa, pe), author (error rate,
-    pattern noise) and cited (pr, tc, ec, pa, pe)."""
-    citing, cited = report.citing_paper_stats, report.cited_paper_stats
-    return (
-        [citing[name].tolist() for name in citing.dtype.names],
-        [report.author_error_rates.tolist(), report.author_pattern_noise.tolist()],
-        [cited[name].tolist() for name in cited.dtype.names],
-    )
+def _printed(values):
+    """:func:`_round_printed` of each value of the float64 array ``values``,
+    computed once per distinct value."""
+    distinct, inverse = _distinct(values)
+    return np.array(list(map(_round_printed, distinct.tolist())))[inverse]
 
 
 def report_to_document(report, system):
-    """Full-precision report plus two-decimal printed renderings."""
+    """Full-precision report plus two-decimal printed renderings. The
+    per-paper and per-author statistics are 1-D structured arrays built from
+    the report's columns."""
     summary = {name: getattr(report, name) for name in _SUMMARY}
-    citing, authors, cited = _columns(report)
+    citing, cited = report.citing_paper_stats, report.cited_paper_stats
+    errors, noise = report.author_error_rates, report.author_pattern_noise
+    printed = {"error_rate": _printed(errors), "pattern_noise": _printed(noise)}
     return {
         "schema_version": SCHEMA_VERSION,
-        "citing_papers": [
-            {"id": pid, "author_id": system.author_ids[ai], "pr": pr, "pa": pa, "pe": pe}
-            for (pid, ai), pr, pa, pe in zip(system.citing_papers, *citing)
-        ],
-        "authors": [
-            {
-                "id": aid,
-                "error_rate": er,
-                "pattern_noise": pn,
-                "printed": {
-                    "error_rate": _round_printed(er),
-                    "pattern_noise": _round_printed(pn),
-                },
-            }
-            for aid, er, pn in zip(system.author_ids, *authors)
-        ],
-        "cited_papers": [
-            {"id": cid, "pr": pr, "tc": tc, "ec": ec, "pa": pa, "pe": pe}
-            for cid, pr, tc, ec, pa, pe in zip(system.cited_paper_ids, *cited)
-        ],
+        "citing_papers": _record_array(
+            {**_citing_columns(system), **{name: citing[name] for name in citing.dtype.names}}
+        ),
+        "authors": _record_array({
+            "id": _objects(system.author_ids),
+            "error_rate": errors,
+            "pattern_noise": noise,
+            "printed": _record_array(printed),
+        }),
+        "cited_papers": _record_array(
+            {"id": _objects(system.cited_paper_ids),
+             **{name: cited[name] for name in cited.dtype.names}}
+        ),
         **summary,
         "bias_direction": report.bias_direction.value,
         "printed": {name: _round_printed(value) for name, value in summary.items()},
@@ -781,7 +858,12 @@ def report_to_table(report, system):
             text = printed[x] = f"{_round_printed(x):.2f}"
         return text
 
-    citing, authors, cited = _columns(report)
+    # Column by column: a column's .tolist() is faster than the table's.
+    citing, cited = (
+        [table[name].tolist() for name in table.dtype.names]
+        for table in (report.citing_paper_stats, report.cited_paper_stats)
+    )
+    authors = (report.author_error_rates.tolist(), report.author_pattern_noise.tolist())
     out.write(f"{'citing paper':<16}{'author':<10}{'PR':>6}{'PA':>6}{'PE':>6}\n")
     for (pid, ai), pr, pa, pe in zip(system.citing_papers, *citing):
         out.write(

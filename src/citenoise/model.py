@@ -30,7 +30,11 @@ class DecisionClass(Enum):
 
 
 def classify_decision(r, a):
-    """Classify a single (realized, accurate) cell pair."""
+    """Classify a single (realized, accurate) cell pair; TypeError naming the
+    argument for an array of one or more dimensions."""
+    for name, value in (("r", r), ("a", a)):
+        if getattr(value, "ndim", 0):
+            raise TypeError(f"{name} must be a single value, not an array of shape {value.shape}")
     if r not in (0, 1) or a not in (0, 1):
         raise NonBinaryEntry(f"decision values must be 0 or 1, got ({r}, {a})")
     if r == 1 and a == 1:
@@ -114,6 +118,15 @@ class CitationSystem:
         )
 
 
+def _iterable(values, name):
+    """An iterator over ``values``; TypeError naming ``name`` if it is not
+    iterable."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise TypeError(f"{name} must be iterable, not {type(values).__name__}") from None
+
+
 def _check_unique(ids, what, name):
     """DuplicateId for a repeated id; TypeError naming ``name`` for an
     unhashable one."""
@@ -142,9 +155,9 @@ def build_system(author_ids, citing_papers, cited_paper_ids, realized, accurate)
     ``citing_papers`` is a sequence of (paper_id, author_index) pairs; the
     index into ``author_ids`` is an int, not a bool. Matrices are row-major J x K.
     """
-    author_ids = tuple(author_ids)
+    author_ids = tuple(_iterable(author_ids, "author_ids"))
     papers = []
-    for pair in citing_papers:
+    for pair in _iterable(citing_papers, "citing_papers"):
         try:
             pid, ai = pair
         except (TypeError, ValueError):  # not a pair
@@ -158,7 +171,7 @@ def build_system(author_ids, citing_papers, cited_paper_ids, realized, accurate)
                 f"citing paper {pid!r} references author index {ai!r}, not an integer"
             ) from None
     citing_papers = tuple(papers)
-    cited_paper_ids = tuple(cited_paper_ids)
+    cited_paper_ids = tuple(_iterable(cited_paper_ids, "cited_paper_ids"))
 
     if not citing_papers or not cited_paper_ids or not author_ids:
         raise EmptySystem("system needs at least one author, citing and cited paper")

@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InsufficientReplicates, InvalidConfig
 from .metrics import _bias, _grouped
-from .model import _as_binary_matrix, _as_integer, build_system
+from .model import _as_binary_matrix, _as_integer, _iterable, build_system
 
 # Fraction of cells whose unclamped flip probability may leave [0, 1]
 # before the configuration is rejected as analytically unusable.
@@ -286,10 +286,11 @@ def decompose_pattern_noise(realized, latent):
     """Split test-retest pattern variance into stable and occasion parts.
 
     ``realized`` is any iterable of T matrices over the accurate matrix and
-    author labels of the :class:`LatentTruth` ``latent`` (TypeError for any
-    other value), as :func:`replicate_decisions` returns them; each is read
-    once, in turn, and must be a 0/1 matrix of the accurate matrix's shape
-    (NonBinaryEntry or DimensionMismatch naming ``realized[i]`` otherwise).
+    author labels of the :class:`LatentTruth` ``latent`` (TypeError naming
+    the argument for any other value of either), as
+    :func:`replicate_decisions` returns them; each is read once, in turn,
+    and must be a 0/1 matrix of the accurate matrix's shape (NonBinaryEntry
+    or DimensionMismatch naming ``realized[i]`` otherwise).
 
     Works at the decision-cell level: for each cell the error indicator is
     observed across T occasions. The occasion component is the mean
@@ -304,7 +305,7 @@ def decompose_pattern_noise(realized, latent):
     # and added into s every 255.
     c = np.zeros(s.shape, dtype=np.uint8)
     t = 0
-    for t, r in enumerate(realized, 1):
+    for t, r in enumerate(_iterable(realized, "realized"), 1):
         r = _as_binary_matrix(r, f"realized[{t - 1}]")
         if r.shape != s.shape:
             raise DimensionMismatch(f"realized[{t - 1}] {r.shape} vs accurate {s.shape}")

@@ -7,15 +7,26 @@ from citenoise import build_system
 
 def as_lists(value):
     """``value`` with every array in it, at any depth, as its ``.tolist()``,
-    and every dict and list rebuilt: a copy of a document to edit, or to
-    pass to ``json.dumps``."""
+    each record of a structured array as a dict of its fields (a nested
+    record as a nested dict), and every dict and list rebuilt: a copy of a
+    document to edit, or to pass to ``json.dumps``."""
     if isinstance(value, np.ndarray):
-        return value.tolist()
+        return _records_as_dicts(value.tolist(), value.dtype)
     if type(value) is dict:
         return {key: as_lists(item) for key, item in value.items()}
     if type(value) is list:
         return [as_lists(item) for item in value]
     return value
+
+
+def _records_as_dicts(item, dtype):
+    """``item``, from ``.tolist()`` of an array of ``dtype``, with each record
+    as a dict; a field with a shape of its own comes out as an array."""
+    if dtype.names is None:
+        return as_lists(item)
+    if type(item) is list:
+        return [_records_as_dicts(x, dtype) for x in item]
+    return {name: _records_as_dicts(x, dtype[name].base) for name, x in zip(dtype.names, item)}
 
 
 def random_system(rng, max_authors=8, max_papers=30, max_cited=15):

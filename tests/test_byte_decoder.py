@@ -228,3 +228,25 @@ def test_matrices_before_an_id_that_spells_their_key():
     decoded = cio._json_matrices(text, ("realized", "accurate"))
     assert decoded is not None and cio.system_from_document(decoded) == system
     assert_same_outcome({"system.json": text}, cio.load_system)
+
+
+def test_a_key_is_the_first_occurrence_of_its_tag_outside_the_blocks_found():
+    """A later field's key is searched for outside the matrices already
+    found, which hold no '"', and is still the first occurrence of its tag:
+    with the string "accurate" between the realized matrix and the accurate
+    key, the first "accurate" is no key and the byte path declines; with
+    the accurate key before the realized one, it decodes. Both documents
+    load as the per-cell decoder loads them."""
+    system = build_system(["accurate", "b"], [("p", 0), ("q", 1)], ["c", "d"],
+                          [[0, 1], [1, 0]], [[1, 1], [0, 1]])
+    doc = as_lists(cio.system_to_document(system))
+    between = {"realized": doc.pop("realized"), **doc}
+    before = {"accurate": between.pop("accurate"), **between}
+    for fields, accepted in ((between, False), (before, True)):
+        text = json.dumps(fields, indent=2).encode()
+        decoded = cio._json_matrices(text, ("realized", "accurate"))
+        assert (decoded is not None) == accepted
+        if accepted:
+            assert cio.system_from_document(decoded) == system
+        assert_same_outcome({"system.json": text}, cio.load_system)
+    assert between["author_ids"][0] == "accurate" and list(before)[:2] == ["accurate", "realized"]

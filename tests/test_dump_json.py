@@ -1,14 +1,16 @@
 """``io.dump_json`` writes exactly ``json.dumps(doc, indent=2) + "\\n"`` of the
 document with every numpy array in it as its ``.tolist()``.
 
-Each top-level value takes one of four paths: a non-empty 2-D int8 array of
-0s and 1s is rendered from its bytes; a non-empty 2-D float64 array with
-each distinct value's ``repr`` computed once, unless it holds a NaN or an
-infinity; a non-empty list of records, whose fields may hold records, and
-a non-empty list of scalars by templates, where one rule says which lists
-render: all strings, or all exact ints and finite floats. Any other array
-goes on as its ``.tolist()``, and any other value, a list of lists too,
-falls back to ``json.dumps``.
+A structured array is rendered as the list of its rows as dicts of its
+fields. Each top-level value takes one of four paths: a non-empty 2-D int8
+array of 0s and 1s is rendered from its bytes; a non-empty 2-D float64 array
+with each distinct value's ``repr`` computed once, unless it holds a NaN or
+an infinity; a non-empty 1-D structured array column by column, whose
+fields may be structured, and a non-empty list of scalars by templates,
+where one rule says which lists and columns render: all strings, or all
+exact ints and finite floats. Any other array goes on as its ``.tolist()``,
+and any other value, a list of lists or of dicts too, falls back to
+``json.dumps``.
 These tests compare the renderer with ``json.dumps`` on generated documents,
 one example per fallback shape, and on every JSON output the CLI writes,
 the audit's list of duplicate entries included. ``io.dump_omissions``
@@ -255,32 +257,101 @@ def test_latent_sidecar_renders_without_a_per_cell_list():
     assert peak < 2.5 * len(text)
 
 
+# Field names that need escapes, are not ASCII or hold a "%".
+ODD_KEYS = ['q"\\', "é\n", "%s", "%d%%"]
+
+
 def test_templates_render_the_large_kinds():
-    """Escaped and non-ASCII ids, float edge values and the record lists of
-    the analyze report, through the templates."""
+    """Escaped, non-ASCII and "%" ids and keys, float edge values, a nested
+    record and the record arrays of the analyze report, through the
+    templates. Each record kind is a structured array, whose column has one
+    dtype: a field of ints mixed with floats, which a list of dicts could
+    hold, can no longer occur."""
     system = builtin_fixture("table1")
     report = cio.report_to_document(analyze(system), system)
-    doc = {
-        "schema_version": "1",
-        "flags": [{"citing": 'p"\\', "earlier": "é\n", "flag": 1},
-                  {"citing": "p%s", "earlier": "😀", "flag": 0}],
-        "matrix": [[0, 1], [-0.0, 5e-324]],
-        "vector": [1e300, -3, 0.1],
-        "strings": ['p"\\', "é\n", "😀", "p%s", "é\n"],
-        "percent-keys": [{"%s": 1, "%d%%": "x"}],
-        "float-field": [{"id": "a", "pr": 0.5}, {"id": "b", "pr": -0.0}],
-        "mixed-field": [{"n": 1}, {"n": 2.5}, {"n": -3}],
+    records = {
+        "flags": np.array([('p"\\', "é\n", 1), ("p%s", "😀", 0)],
+                          dtype=[("citing", object), ("earlier", object), ("flag", np.int64)]),
+        "odd-keys": np.array([("x", 1, -0.0, 2.5)],
+                             dtype=list(zip(ODD_KEYS, [object, np.int64, float, float]))),
+        "float-field": np.array([("a", 0.5), ("b", -0.0), ("c", 5e-324), ("d", 0.5)],
+                                dtype=[("id", object), ("pr", float)]),
+        "nested": np.array([("é", (-0.0, 1)), ("%s", (5e-324, -2))],
+                           dtype=[("id", object), ("printed", [(ODD_KEYS[0], float),
+                                                               ("n", np.int64)])]),
         "citing_papers": report["citing_papers"],
         "cited_papers": report["cited_papers"],
         "authors": report["authors"],
     }
-    for key in ("flags", "percent-keys", "float-field", "mixed-field", "citing_papers",
-                "cited_papers", "authors"):
-        assert cio._flat_records(doc[key]) is not None, key
+    doc = {
+        "schema_version": "1",
+        "matrix": [[0, 1], [-0.0, 5e-324]],
+        "vector": [1e300, -3, 0.1],
+        "strings": ['p"\\', "é\n", "😀", "p%s", "é\n"],
+        **records,
+    }
+    for key, value in records.items():
+        assert type(value) is np.ndarray and value.dtype.names, key
+        assert cio._record_list(value) is not None, key
     assert all(cio._scalars(row) is not None for row in doc["matrix"])
     assert cio._scalars(doc["vector"]) is not None
     assert cio._scalars(doc["strings"]) is not None
-    assert cio.dump_json(doc) == json.dumps(doc, indent=2) + "\n"
+    with mock.patch.object(cio, "_dumps", wraps=cio._dumps) as fallback:
+        text = cio.dump_json(doc)
+    assert text == json.dumps(as_lists(doc), indent=2) + "\n"
+    # Only the string and the list of lists take the fallback.
+    assert [call.args[0] for call in fallback.call_args_list] == ["1", doc["matrix"]]
+
+
+def test_a_record_array_holding_a_nan_goes_to_json_dumps():
+    """A NaN or an infinity in a float64 field, at the top or nested, sends
+    the whole value to ``json.dumps``, which spells it NaN or Infinity."""
+    flat = np.array([("a", 0.5), ("b", math.nan)], dtype=[("id", object), ("pr", float)])
+    nested = np.array([(("x", -math.inf),)], dtype=[("printed", [("id", object), ("pr", float)])])
+    for records in (flat, nested):
+        assert cio._record_list(records) is None
+        text = cio.dump_json({"records": records})
+        assert text == json.dumps({"records": as_lists(records)}, indent=2) + "\n"
+    assert '"pr": NaN' in cio.dump_json({"records": flat})
+
+
+@st.composite
+def record_arrays(draw):
+    """A structured array, 0 to 3 rows, whose fields are ids, ints, floats
+    (edge values, any, or NaN and infinities), bools, big-endian floats, a
+    field with a shape of its own, or a record of two such fields; whole, a
+    view of every other row, or 2-D."""
+    scalar_kinds = {
+        "O": ids, "i8": st.integers(-(2**63), 2**63 - 1), "f8": finite,
+        "nan": st.sampled_from(FLOAT_EDGES + NON_FINITE), "?": st.booleans(), ">f8": finite,
+    }
+
+    def field(depth):
+        """(dtype, strategy for its values) of one field."""
+        kinds = [*scalar_kinds, "2f8"] + (["record"] if depth == 0 else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "record":
+            inner = [field(1) for _ in range(draw(st.integers(0, 2)))]
+            return (np.dtype([(name, dtype) for name, (dtype, _) in zip("ab", inner)]),
+                    st.tuples(*[values for _, values in inner]))
+        if kind == "2f8":
+            return np.dtype(("f8", (2,))), st.lists(finite, min_size=2, max_size=2).map(tuple)
+        return np.dtype("f8" if kind == "nan" else kind), scalar_kinds[kind]
+
+    names = draw(st.lists(st.sampled_from(["id", "pr", "printed", *ODD_KEYS]), unique=True,
+                          min_size=1, max_size=3))
+    fields = [field(0) for _ in names]
+    dtype = [(name, field_dtype) for name, (field_dtype, _) in zip(names, fields)]
+    rows = draw(st.lists(st.tuples(*[f[1] for f in fields]), max_size=3))
+    m = np.array(rows, dtype=dtype)
+    return draw(st.sampled_from([m, m[::2], m.reshape(1, -1)]))
+
+
+@given(record_arrays())
+def test_record_arrays_render_as_json_dumps(records):
+    doc = {"records": records, "also": records}
+    assert cio.dump_json(doc) == json.dumps(as_lists(doc), indent=2) + "\n"
+    assert cio.dump_json([records]) == json.dumps(as_lists([records]), indent=2) + "\n"
 
 
 def _write_json(path, doc):

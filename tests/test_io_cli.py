@@ -64,6 +64,13 @@ class TestSystemDocuments:
             cio.save_system(s, path)
             assert cio.load_system(path) == s
 
+    def test_document_round_trip_in_memory(self, rng):
+        """The document of system_to_document, whose citing papers are a
+        structured array, reads back without a trip through JSON."""
+        for _ in range(5):
+            s = random_system(rng)
+            assert cio.system_from_document(cio.system_to_document(s)) == s
+
     def test_csv_round_trip(self, tmp_path, rng):
         for _ in range(5):
             s = random_system(rng)

@@ -345,6 +345,14 @@ def _wrong_kinds():
                             TypeError, "sample_sizes"),
         "k-float": (lambda: omission_indicator(sim, [[0, 0], [0, 0]], 1.5), TypeError, "k"),
         "k-zero": (lambda: omission_indicator(sim, [[0, 0], [0, 0]], 0), InvalidConfig, "k"),
+        "author-ids-none": (lambda: build_system(None, *one[1:]), TypeError, "author_ids"),
+        "citing-papers-none": (lambda: build_system(one[0], None, *one[2:]),
+                               TypeError, "citing_papers"),
+        "paper-ids-none": (lambda: build_similarity(None, [0], [[0]]), TypeError, "paper_ids"),
+        "timestamps-none": (lambda: build_similarity(["a"], None, [[0]]),
+                            TypeError, "timestamps"),
+        "realized-none": (lambda: decompose_pattern_noise(None, latent), TypeError, "realized"),
+        "decision-array": (lambda: classify_decision(np.array([1, 0]), 1), TypeError, "r"),
     }
 
 
