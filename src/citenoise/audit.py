@@ -22,7 +22,9 @@ from .errors import (
     NonSymmetric,
     ParseError,
 )
-from .model import _as_binary_matrix, _as_integer, _check_real, _check_unique, _iterable
+from .model import (
+    _as_binary_matrix, _as_integer, _check_real, _check_unique, _iterable, _iterable_of,
+)
 
 SYMMETRY_TOL = 1e-9
 JT_HEADER = ("cited work", "section", "knowledge flowed")
@@ -263,18 +265,6 @@ class AuditReport:
     orphan_justifications: tuple
     duplicate_entries: tuple
     coverage_ratio: float
-
-
-def _iterable_of(values, kind, name):
-    """The items of ``values`` as a list; TypeError naming ``name`` unless it
-    is an iterable of ``kind`` items other than a str or bytes."""
-    try:
-        items = None if isinstance(values, (str, bytes)) else list(values)
-    except TypeError:  # not iterable
-        items = None
-    if items is None or not all(isinstance(item, kind) for item in items):
-        raise TypeError(f"{name} must be a non-string iterable of {kind.__name__} items")
-    return items
 
 
 def audit_justification(reference_keys, in_text_keys, entries):

@@ -5,14 +5,14 @@ opened once, by :func:`_read`, and text goes out through :func:`write_text`.
 A document may hold numpy arrays: the system and latent-truth documents keep
 their matrices and vectors as they are, and the per-paper and per-author
 records of the system and report documents are 1-D structured arrays built
-from columns, with no per-row dict. JSON outputs are rendered by
-:func:`dump_json`, whose text is exactly ``json.dumps(doc, indent=2) + "\\n"``
-of the document with every array in it as its ``.tolist()``, for every
-JSON-able document; a structured array is rendered as the list of its rows
-as dicts of its fields. The ``omissions`` document is the exception:
-:func:`dump_omissions` renders it with the same bytes straight from the flag
-arrays, with no per-record dict or string: one string per citing paper, and
-one join of them into the text.
+from columns, with no per-row dict. The ``analyze`` table is rendered from the
+report document's records, column by column, with one printed text per
+distinct value. JSON outputs are rendered by :func:`dump_json`, whose text is
+exactly ``json.dumps(doc, indent=2) + "\\n"`` of the document with every array
+in it as its ``.tolist()``, for every JSON-able document; a structured array
+is rendered as the list of its rows as dicts of its fields. The ``omissions``
+document is the exception: :func:`dump_omissions` renders it with the same
+bytes straight from the flag arrays, one string per citing paper.
 Errors found while an input is loaded name the file: each file is decoded
 as UTF-8, whole, and checked inside :func:`_naming`, which also names the
 file in an error raised by the checks in other modules. Two on-disk system
@@ -809,11 +809,11 @@ _SUMMARY = {
 }
 
 
-def _printed(values):
-    """:func:`_round_printed` of each value of the float64 array ``values``,
-    computed once per distinct value."""
+def _per_distinct(function, values, dtype):
+    """``function`` of each value of the float64 array ``values``, as an
+    array of ``dtype``, called once per distinct value."""
     distinct, inverse = _distinct(values)
-    return np.array(list(map(_round_printed, distinct.tolist())))[inverse]
+    return np.array(list(map(function, distinct.tolist())), dtype)[inverse]
 
 
 def report_to_document(report, system):
@@ -823,7 +823,8 @@ def report_to_document(report, system):
     summary = {name: getattr(report, name) for name in _SUMMARY}
     citing, cited = report.citing_paper_stats, report.cited_paper_stats
     errors, noise = report.author_error_rates, report.author_pattern_noise
-    printed = {"error_rate": _printed(errors), "pattern_noise": _printed(noise)}
+    printed = {"error_rate": _per_distinct(_round_printed, errors, np.float64),
+               "pattern_noise": _per_distinct(_round_printed, noise, np.float64)}
     return {
         "schema_version": SCHEMA_VERSION,
         "citing_papers": _record_array(
@@ -845,38 +846,37 @@ def report_to_document(report, system):
     }
 
 
+# The table's sections in order: records -> printed field -> (label, format spec).
+_TABLE = {
+    "citing_papers": {"id": ("citing paper", "<16"), "author_id": ("author", "<10"),
+                      "pr": ("PR", ">6"), "pa": ("PA", ">6"), "pe": ("PE", ">6")},
+    "authors": {"id": ("author", "<10"), "error_rate": ("PE_i", ">8"),
+                "pattern_noise": ("sigma_PN_i", ">12")},
+    "cited_papers": {"id": ("cited paper", "<14"), "pr": ("PR", ">6"), "tc": ("TC", ">5"),
+                     "ec": ("EC", ">5"), "pa": ("PA", ">6"), "pe": ("PE", ">6")},
+}
+
+
 def report_to_table(report, system):
-    """Aligned plain-text rendering of the printed (two-decimal) values."""
-    out = _io.StringIO()
-    # Value -> text: a table holds few distinct values. analyze gives no -0.0,
-    # which would share 0.0's key.
-    printed = {}
-
-    def fmt(x):
-        text = printed.get(x)
-        if text is None:
-            text = printed[x] = f"{_round_printed(x):.2f}"
-        return text
-
-    # Column by column: a column's .tolist() is faster than the table's.
-    citing, cited = (
-        [table[name].tolist() for name in table.dtype.names]
-        for table in (report.citing_paper_stats, report.cited_paper_stats)
-    )
-    authors = (report.author_error_rates.tolist(), report.author_pattern_noise.tolist())
-    out.write(f"{'citing paper':<16}{'author':<10}{'PR':>6}{'PA':>6}{'PE':>6}\n")
-    for (pid, ai), pr, pa, pe in zip(system.citing_papers, *citing):
-        out.write(
-            f"{pid:<16}{system.author_ids[ai]:<10}{fmt(pr):>6}{fmt(pa):>6}{fmt(pe):>6}\n"
-        )
-    out.write(f"\n{'author':<10}{'PE_i':>8}{'sigma_PN_i':>12}\n")
-    for aid, er, pn in zip(system.author_ids, *authors):
-        out.write(f"{aid:<10}{fmt(er):>8}{fmt(pn):>12}\n")
-    out.write(f"\n{'cited paper':<14}{'PR':>6}{'TC':>5}{'EC':>5}{'PA':>6}{'PE':>6}\n")
-    for cid, pr, tc, ec, pa, pe in zip(system.cited_paper_ids, *cited):
-        out.write(f"{cid:<14}{fmt(pr):>6}{tc:>5}{ec:>5}{fmt(pa):>6}{fmt(pe):>6}\n")
-    for name, label in _SUMMARY.items():
-        out.write(f"\n{label:<10}{fmt(getattr(report, name))}")
+    """The printed (two-decimal) values as aligned text, rendered from the
+    records of :func:`report_to_document` column by column, with one printed
+    text per distinct value."""
+    doc = report_to_document(report, system)
+    sections = [_table_section(doc[name], columns) for name, columns in _TABLE.items()]
+    summary = [f"\n{label:<10}{doc['printed'][name]:.2f}" for name, label in _SUMMARY.items()]
     # The last summary row, bias, also shows its direction.
-    out.write(f" ({report.bias_direction.value})\n")
-    return out.getvalue()
+    return "\n".join(sections) + "".join(summary) + f" ({doc['bias_direction']})\n"
+
+
+def _table_section(records, columns):
+    """The header and rows of ``records`` in ``columns``, by one join."""
+    texts = np.empty((len(records) + 1, len(columns) + 1), object)
+    for i, (name, (label, spec)) in enumerate(columns.items()):
+        column = records[name]
+        texts[0, i] = format(label, spec)
+        if column.dtype == np.float64:
+            texts[1:, i] = _per_distinct(lambda x: f"{_round_printed(x):{spec}.2f}", column, object)
+        else:
+            texts[1:, i] = [format(x, spec) for x in column.tolist()]
+    texts[:, -1] = "\n"
+    return "".join(texts.ravel().tolist())

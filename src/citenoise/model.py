@@ -127,6 +127,18 @@ def _iterable(values, name):
         raise TypeError(f"{name} must be iterable, not {type(values).__name__}") from None
 
 
+def _iterable_of(values, kind, name):
+    """The items of ``values`` as a list; TypeError naming ``name`` unless it
+    is an iterable of ``kind`` items other than a str or bytes."""
+    try:
+        items = None if isinstance(values, (str, bytes)) else list(values)
+    except TypeError:  # not iterable
+        items = None
+    if items is None or not all(isinstance(item, kind) for item in items):
+        raise TypeError(f"{name} must be a non-string iterable of {kind.__name__} items")
+    return items
+
+
 def _check_unique(ids, what, name):
     """DuplicateId for a repeated id; TypeError naming ``name`` for an
     unhashable one."""

@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InsufficientReplicates, InvalidConfig
 from .metrics import _bias, _grouped
-from .model import _as_binary_matrix, _as_integer, _iterable, build_system
+from .model import _as_binary_matrix, _as_integer, _iterable, _iterable_of, build_system
 
 # Fraction of cells whose unclamped flip probability may leave [0, 1]
 # before the configuration is rejected as analytically unusable.
@@ -356,11 +356,8 @@ def aggregation_curve(config, sample_sizes, trials):
     """
     _check_config(config)
     trials = _check_trials(trials)
-    if isinstance(sample_sizes, (str, bytes)) or not np.iterable(sample_sizes):
-        raise TypeError(
-            f"sample_sizes must be an iterable of integers, not {type(sample_sizes).__name__}"
-        )
-    sample_sizes = [_integer("sample size", n) for n in sample_sizes]
+    sizes = _iterable_of(sample_sizes, object, "sample_sizes")
+    sample_sizes = [_integer("sample size", n) for n in sizes]
     if any(not 1 <= n <= _MAX_SAMPLE_SIZE for n in sample_sizes):
         raise InvalidConfig(f"sample sizes must be in [1, {_MAX_SAMPLE_SIZE}]")
     p = config.should_cite_prob

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 import citenoise
 
-from citenoise import analyze, builtin_fixture
+from citenoise import analyze, build_system, builtin_fixture
 from citenoise.cli import run_cli
 from citenoise.errors import (
     DimensionMismatch,
@@ -331,21 +332,90 @@ def write_config(tmp_path, **kw):
     return str(p)
 
 
+def reference_table(report, system):
+    """The ``analyze`` table written row by row, one f-string per row, each
+    statistic rounded half up to two decimals: the reference that
+    report_to_table's column-by-column rendering must match byte for byte."""
+    def fmt(x):
+        return f"{float(Decimal(repr(x)).quantize(Decimal('0.01'), ROUND_HALF_UP)):.2f}"
+
+    citing, cited = report.citing_paper_stats, report.cited_paper_stats
+    out = [f"{'citing paper':<16}{'author':<10}{'PR':>6}{'PA':>6}{'PE':>6}\n"]
+    columns = (citing[n].tolist() for n in ("pr", "pa", "pe"))
+    for (pid, ai), pr, pa, pe in zip(system.citing_papers, *columns):
+        out.append(f"{pid:<16}{system.author_ids[ai]:<10}{fmt(pr):>6}{fmt(pa):>6}{fmt(pe):>6}\n")
+    out.append(f"\n{'author':<10}{'PE_i':>8}{'sigma_PN_i':>12}\n")
+    for aid, er, pn in zip(system.author_ids, report.author_error_rates.tolist(),
+                           report.author_pattern_noise.tolist()):
+        out.append(f"{aid:<10}{fmt(er):>8}{fmt(pn):>12}\n")
+    out.append(f"\n{'cited paper':<14}{'PR':>6}{'TC':>5}{'EC':>5}{'PA':>6}{'PE':>6}\n")
+    columns = (cited[n].tolist() for n in ("pr", "tc", "ec", "pa", "pe"))
+    for cid, pr, tc, ec, pa, pe in zip(system.cited_paper_ids, *columns):
+        out.append(f"{cid:<14}{fmt(pr):>6}{tc:>5}{ec:>5}{fmt(pa):>6}{fmt(pe):>6}\n")
+    labels = {"pa_mean": "PA_mean", "pe_mean": "PE_mean", "sigma_ln": "sigma_LN",
+              "sigma_pn": "sigma_PN", "sigma_sys": "sigma_SYS", "mean_tc": "mean_TC",
+              "mean_ec": "mean_EC", "bias": "bias"}
+    out += [f"\n{label:<10}{fmt(getattr(report, name))}" for name, label in labels.items()]
+    out.append(f" ({report.bias_direction.value})\n")
+    return "".join(out)
+
+
+# (system, lines its table must hold) for the table test: the published
+# table, ids wider than their columns, non-ASCII author ids, statistics on a
+# half-up boundary (1/8 = 0.125 prints 0.13, 7/8 = 0.875 prints 0.88), and
+# the smallest system.
+TABLE_SYSTEMS = {
+    "table1": (lambda: builtin_fixture("table1"),
+               ["sigma_LN  0.06", "sigma_PN  0.17", "sigma_SYS 0.18"]),
+    "wide-ids": (lambda: build_system(
+        ["an-author-id-wider-than-10", "b"],
+        [("a-citing-paper-id-wider-than-16", 0), ("p2", 1)],
+        ["a-cited-paper-id-wider-than-14", "c2"], [[1, 0], [0, 1]], [[1, 1], [1, 1]],
+    ), ["a-citing-paper-id-wider-than-16an-author-id-wider-than-10  0.50  0.50  0.50",
+        "a-cited-paper-id-wider-than-14  0.50    1    2  0.50  0.50"]),
+    "non-ascii-author": (lambda: build_system(
+        ["S\u00f8ren-\u00d8deg\u00e5rd", "\u8457\u8005"], [("p1", 0), ("p2", 1)], ["c1"],
+        [[1], [0]], [[1], [1]],
+    ), ["p2              \u8457\u8005          0.00  0.00  1.00"]),
+    "half-up": (lambda: build_system(
+        ["a", "b"], [("p1", 0), ("p2", 1)], [f"c{k}" for k in range(8)],
+        [[1] + [0] * 7, [0] * 8], [[0] * 8, [0] * 8],
+    ), ["p1              a           0.13  0.88  0.13", "mean_TC   0.13"]),
+    "one-author-one-cited": (lambda: build_system(["a"], [("p", 0)], ["c"], [[1]], [[0]]),
+                             ["p               a           1.00  0.00  1.00"]),
+}
+
+
 class TestCli:
     def test_analyze_table_output(self, tmp_path, capsys):
-        fx = tmp_path / "t1.json"
-        cio.save_system(builtin_fixture("table1"), fx)
-        assert run_cli(["analyze", "--input", str(fx), "--format", "table"]) == 0
-        out = capsys.readouterr().out
-        assert "sigma_LN  0.06" in out
-        assert "sigma_PN  0.17" in out
-        assert "sigma_SYS 0.18" in out
+        for name, (make, lines) in TABLE_SYSTEMS.items():
+            system = make()
+            fx = tmp_path / f"{name}.json"
+            cio.save_system(system, fx)
+            assert run_cli(["analyze", "--input", str(fx), "--format", "table"]) == 0
+            out = capsys.readouterr().out
+            assert out == reference_table(analyze(system), system), name
+            for line in lines:
+                assert f"\n{line}\n" in out, (name, line)
 
     def test_analyze_json_matches_table_rounding(self, tmp_path, capsys):
+        # Each summary row and each author's PE_i and sigma_PN_i cell of the
+        # table is the JSON report's printed value to two decimals.
         fx = tmp_path / "t1.json"
         cio.save_system(builtin_fixture("table1"), fx)
-        run_cli(["analyze", "--input", str(fx)])
+        assert run_cli(["analyze", "--input", str(fx)]) == 0
         doc = json.loads(capsys.readouterr().out)
+        assert run_cli(["analyze", "--input", str(fx), "--format", "table"]) == 0
+        _, authors, _, summary = capsys.readouterr().out.split("\n\n")
+        rows = [line.split() for line in authors.splitlines()[1:]]
+        assert [row[1:] for row in rows] == [
+            [f"{a['printed']['error_rate']:.2f}", f"{a['printed']['pattern_noise']:.2f}"]
+            for a in doc["authors"]
+        ]
+        assert [row[0] for row in rows] == [a["id"] for a in doc["authors"]]
+        values = [line.split()[1] for line in summary.splitlines()]
+        assert values == [f"{value:.2f}" for value in doc["printed"].values()]
+        assert summary.endswith(f" ({doc['bias_direction']})\n")
         assert doc["printed"]["pa_mean"] == 0.54
         assert doc["sigma_sys"] == pytest.approx(0.18, abs=5e-3)
 
