@@ -41,6 +41,16 @@ its bytes to the digits of the indented form of the same row template,
 :func:`_row_template`. A float64 matrix (the latent-truth sidecar's flip
 probabilities and interaction offsets) is rendered with each distinct
 value's ``repr`` computed once, and its texts gathered into the cells.
+
+The omission input's ``scores``, a matrix of JSON numbers, is decoded from
+its block of the file's bytes by orjson (:func:`_number_rows`), in place,
+through the same key search and ``NaN`` splice as the 0/1 matrices. It
+declines, and ``json`` decodes the whole file, where orjson raises (``NaN``,
+``Infinity``, ``1e400``, a syntax error, a byte outside ASCII) or where its
+value could differ from ``json``'s: orjson reads an integer beyond 64 bits as
+a float, so the block must be rows of numbers below 2**63 in magnitude.
+Every score it gives is bit for bit the one ``json`` gives, and every error
+is ``json``'s or the checks' that follow.
 """
 
 import contextlib
@@ -48,6 +58,7 @@ import csv
 import dataclasses
 import io as _io
 import json
+import math
 import re
 import sys
 from decimal import ROUND_HALF_UP, Decimal
@@ -436,18 +447,21 @@ _JSON_SPACE = b" \t\n\r"
 # A matrix's "[", its first row, and the separator after it.
 _FIRST_ROW = re.compile(rb"[ \t\n\r]*\[[ \t\n\r]*(\[[^]]*\])([ \t\n\r]*,[ \t\n\r]*)?")
 _BLOCK = 1 << 18  # the bytes of rows _template_digits checks at a time
+# The top-level fields that _json_matrices decodes as matrices of JSON
+# numbers (by _number_rows); every other field it is given is a 0/1 matrix.
+_NUMBER_FIELDS = frozenset(("scores",))
 
 
 def _json_matrices(data, fields):
     """The document of the JSON bytes ``data``, with each of its top-level
-    ``fields``, a matrix of the JSON integers 0 and 1 with every row laid out
-    as the first, as an int8 matrix; None for any other file.
+    ``fields`` decoded from its block of bytes; None for any other file.
 
     The first occurrence of each field's key is followed by ":" and a block
-    that ends at the last "]" before the next '"'. Its first row and the
-    separator after it ("," for one row), with digits set to "0", are the
-    row template: with whitespace removed, ``_row_template(K)``. Every row is
-    checked in place against it, the last with the separator appended.
+    that ends at the last "]" before the next '"'. A field in
+    ``_NUMBER_FIELDS`` is a matrix of JSON numbers: its block is decoded by
+    :func:`_number_rows`, to the lists ``json`` gives. Any other field is a
+    matrix of the JSON integers 0 and 1 with every row laid out as the
+    first, decoded as an int8 matrix by :func:`_binary_rows`.
     The rest goes to ``json`` with ``NaN`` in place of each block,
     and must keep exactly those ``NaN`` as the fields' values: a duplicate,
     escaped or nested key, or a ``NaN`` of the file's own, declines the file.
@@ -463,22 +477,11 @@ def _json_matrices(data, fields):
             return None
         quote = data.find(b'"', colon)
         stop = data.rfind(b"]", colon, quote if quote >= 0 else len(data))
-        row = _FIRST_ROW.match(data, colon + 1)
-        if row is None or stop < row.end(1):
+        decode = _number_rows if field in _NUMBER_FIELDS else _binary_rows
+        value = decode(data, colon, stop)
+        if value is None:
             return None
-        first, last, sep = row.start(1), data.rfind(b"]", 0, stop) + 1, row[2] or b","
-        template = (row[1] + sep).replace(b"1", b"0")
-        k, width = template.count(b"0"), len(template)
-        tail = last + len(sep) - width  # the last row's start
-        if (tail - first) % width or k < 1 or data[last:stop].strip(_JSON_SPACE) or (
-            template.translate(None, _JSON_SPACE) != _row_template(k)
-        ):
-            return None
-        views = [memoryview(data)[first:tail], data[tail:last] + sep]
-        matrix = _template_digits(views, template, (tail - first) // width + 1)
-        if matrix is None:
-            return None
-        blocks.append((colon + 1, stop + 1, field, matrix))
+        blocks.append((colon + 1, stop + 1, field, value))
     pieces, at = [], 0
     for start, stop, _, _ in sorted(blocks):
         pieces += [data[at:start], b"NaN"]
@@ -498,9 +501,62 @@ def _json_matrices(data, fields):
         or any(doc.get(field) is not spliced for field in fields)
     ):
         return None
-    for _, _, field, matrix in blocks:
-        doc[field] = matrix
+    for _, _, field, value in blocks:
+        doc[field] = value
     return doc
+
+
+def _binary_rows(data, colon, stop):
+    """The int8 matrix of the block of ``data`` after the ":" at ``colon`` up
+    to the "]" at ``stop``, a matrix of the JSON integers 0 and 1 with every
+    row laid out as the first; None for any other block.
+
+    The first row and the separator after it ("," for one row), with digits
+    set to "0", are the row template: with whitespace removed,
+    ``_row_template(K)``. Every row is checked in place against it, the last
+    with the separator appended."""
+    row = _FIRST_ROW.match(data, colon + 1)
+    if row is None or stop < row.end(1):
+        return None
+    first, last, sep = row.start(1), data.rfind(b"]", 0, stop) + 1, row[2] or b","
+    template = (row[1] + sep).replace(b"1", b"0")
+    k, width = template.count(b"0"), len(template)
+    tail = last + len(sep) - width  # the last row's start
+    if (tail - first) % width or k < 1 or data[last:stop].strip(_JSON_SPACE) or (
+        template.translate(None, _JSON_SPACE) != _row_template(k)
+    ):
+        return None
+    views = [memoryview(data)[first:tail], data[tail:last] + sep]
+    return _template_digits(views, template, (tail - first) // width + 1)
+
+
+def _number_rows(data, colon, stop):
+    """The value ``json`` gives the block of ``data`` after the ":" at
+    ``colon`` up to the "]" at ``stop``, decoded in place by orjson; None
+    where orjson rejects the block (``NaN``, ``Infinity``, a number beyond a
+    double, a byte outside ASCII, any syntax error, or no "]" at all) and
+    where its value could differ from ``json``'s, which is ruled out only
+    for a list whose rows hold nothing but numbers below 2**63 in magnitude."""
+    # Imported here, not with the module: the import costs several ms.
+    import orjson
+
+    try:
+        # With no "]", stop is -1 and the block is empty.
+        rows = orjson.loads(memoryview(data)[colon + 1 : stop + 1])
+        # orjson reads an integer literal beyond 64 bits as a float, where
+        # json keeps an int; that float is at least 2**63 in magnitude, and
+        # so is the norm of its row. A row or cell that is no number raises.
+        if max(map(_row_norm, rows), default=0.0) < 2.0**63:
+            return rows
+    except (ValueError, TypeError):  # orjson.JSONDecodeError is a ValueError
+        pass
+    return None
+
+
+def _row_norm(row):
+    """The Euclidean norm of the cells of ``row``; TypeError unless it is an
+    iterable of numbers."""
+    return math.hypot(*row)
 
 
 def _find_key(data, tag, blocks):
@@ -592,8 +648,12 @@ def _check_matrix(rows, field, kind):
 
 
 def load_omission_inputs(sim_path, cites_path):
-    """(SimilarityMatrix, citation matrix) for the omission indicator; the
-    citations are decoded by :func:`_binary_cells`, as a system's matrices are.
+    """(SimilarityMatrix, citation matrix) for the omission indicator. Both
+    files are read by :func:`_read_json_matrices`: the ``scores`` block by
+    orjson (:func:`_number_rows`), the ``cites`` block as a system's 0/1
+    matrices are, each file by ``json`` whole where its byte path declines.
+    The scores are then checked by :func:`_check_matrix` and
+    ``build_similarity``, the citations by :func:`_binary_cells`.
 
     Documents: ``{"papers": [{"id", "timestamp"}, ...], "scores": n x n}``
     and ``{"papers": [the same ids, in order], "cites": n x n}``. Scores are
@@ -603,7 +663,7 @@ def load_omission_inputs(sim_path, cites_path):
     it a width.
     """
     with _naming(sim_path, "similarity document"):
-        sim_doc = read_json(sim_path)
+        sim_doc = _read_json_matrices(sim_path, ("scores",))
         papers = sim_doc["papers"]
         ids = [p["id"] for p in papers]
         scores = sim_doc["scores"]
@@ -860,7 +920,8 @@ _TABLE = {
 def report_to_table(report, system):
     """The printed (two-decimal) values as aligned text, rendered from the
     records of :func:`report_to_document` column by column, with one printed
-    text per distinct value."""
+    text per distinct value. The authors' columns are read from their
+    ``printed`` record, which is rounded already."""
     doc = report_to_document(report, system)
     sections = [_table_section(doc[name], columns) for name, columns in _TABLE.items()]
     summary = [f"\n{label:<10}{doc['printed'][name]:.2f}" for name, label in _SUMMARY.items()]
@@ -869,13 +930,18 @@ def report_to_table(report, system):
 
 
 def _table_section(records, columns):
-    """The header and rows of ``records`` in ``columns``, by one join."""
+    """The header and rows of ``records`` in ``columns``, by one join. A
+    column of the records' ``printed`` field, if they have one, is taken as
+    rounded; any other float64 column is rounded here."""
+    printed = records["printed"] if "printed" in records.dtype.names else None
     texts = np.empty((len(records) + 1, len(columns) + 1), object)
     for i, (name, (label, spec)) in enumerate(columns.items()):
-        column = records[name]
+        column, rounded = records[name], _round_printed
+        if printed is not None and name in printed.dtype.names:
+            column, rounded = printed[name], float
         texts[0, i] = format(label, spec)
         if column.dtype == np.float64:
-            texts[1:, i] = _per_distinct(lambda x: f"{_round_printed(x):{spec}.2f}", column, object)
+            texts[1:, i] = _per_distinct(lambda x: f"{rounded(x):{spec}.2f}", column, object)
         else:
             texts[1:, i] = [format(x, spec) for x in column.tolist()]
     texts[:, -1] = "\n"

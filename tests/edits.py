@@ -5,7 +5,8 @@ Each edit is one that a byte-level decoder could get wrong: for CSV, quotes,
 CRLF, blank lines, a BOM, NUL and non-UTF-8 bytes, fields at the size limit,
 ragged rows and cells that are not exactly 0 or 1; for JSON, a matrix field's
 key escaped, repeated or nested, other whitespace, ragged or empty matrices,
-cells that are not the integers 0 and 1, non-UTF-8 bytes and truncation.
+cells that are not the integers 0 and 1, number cells that are non-finite,
+beyond a double or beyond 64 bits, non-UTF-8 bytes and truncation.
 """
 
 import copy
@@ -113,6 +114,18 @@ def csv_pairs(draw, edits=st.sampled_from(CSV_EDITS)):
 
 JSON_EDITS = ["none", "escaped key", "member", "nested key", "whitespace", "matrix",
               "cell", "non-utf8", "bom", "byte", "truncate"]
+# The texts each kind of cell edit writes into one cell: a "cell" is no
+# integer 0 or 1; a "number cell" is a JSON number json and a byte decoder
+# could read apart (non-finite, beyond a double or beyond 64 bits), or
+# is not a number at all.
+CELLS = {
+    "cell": [b"2", b"-0", b"01", b"1.0", b"true", b"\xff", b"1 "],
+    "number cell": [b"NaN", b"-Infinity", b"Infinity", b"1e400", b"-1e400", b"1e-400",
+                    b"true", b"null", b"12345678901234567890", b"-12345678901234567890",
+                    b"18446744073709551615", b"36893488147419103232", b"[36893488147419103232]",
+                    b"[-12345678901234567890]", b"-0.0", b"\xc3\xa9",
+                    b"\xff", b"[0.5]", b"{}"],
+}
 # Written into a matrix as a marker, then replaced as text: no id holds a 9.
 MARK = 99999
 
@@ -125,7 +138,7 @@ def _escaped(field):
 def edit_json(draw, doc, fields, edit):
     """The bytes of the JSON document ``doc``, rendered by dump_json or as
     compact ``json.dumps`` output, with one edit of kind ``edit`` aimed at
-    one of its top-level 0/1 matrix ``fields``."""
+    one of its top-level matrix ``fields``."""
     doc = as_lists(doc)
     field = draw(st.sampled_from(fields))
     key = b'"%s":' % field.encode()
@@ -137,13 +150,12 @@ def edit_json(draw, doc, fields, edit):
         doc[field] = draw(st.sampled_from(
             [[], [[]], rows[:row] + [rows[row][:-1]] + rows[row + 1:], rows + [rows[0] * 2]]
         ))
-    elif edit == "cell":
+    elif edit in CELLS:
         rows = doc[field]
         rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, len(rows[0]) - 1))] = MARK
     data = draw(st.sampled_from([dump_json, json.dumps]))(doc).encode()
-    if edit == "cell":
-        cell = draw(st.sampled_from([b"2", b"-0", b"01", b"1.0", b"true", b"\xff", b"1 "]))
-        data = data.replace(b"%d" % MARK, cell)
+    if edit in CELLS:
+        data = data.replace(b"%d" % MARK, draw(st.sampled_from(CELLS[edit])))
     elif edit == "escaped key" or edit == "nested key" and draw(st.booleans()):
         at = data.rindex(key)  # the top-level key, which comes last
         data = data[:at] + _escaped(field).encode() + data[at + len(key) - 1:]

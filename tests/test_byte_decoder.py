@@ -1,14 +1,18 @@
-"""The byte path of the 0/1 matrix decoders against the per-cell decoder.
+"""The byte path of the matrix decoders against the per-cell decoder.
 
 ``io`` decodes a system's ``realized`` and ``accurate`` matrices, and the
 omission input's ``cites``, from the file's bytes first, and falls back to
-the per-cell decoder on any file off its template. For every input, a valid
-file or one with one edit, the loader must give what the per-cell decoder
-alone gives: equal ids, owners and int8 matrices, or the same error type
-with the same text.
+the per-cell decoder on any file off its template; the omission input's
+``scores`` are decoded from their block by orjson first, and fall back to
+``json`` on any block orjson rejects or might read apart. For every input,
+a valid file or one with one edit, the loader must give what the per-cell
+decoder alone gives: equal ids, owners, int8 matrices and score bits, or the
+same error type with the same text.
 """
 
+import decimal
 import json
+import math
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -22,7 +26,7 @@ from hypothesis import strategies as st
 from citenoise import CitationSystem, build_system
 from citenoise import io as cio
 from edits import (
-    CSV_EDITS, JSON_EDITS, csv_pairs, edit_json, id_text, plain_id_text, small_systems,
+    CELLS, CSV_EDITS, JSON_EDITS, csv_pairs, edit_json, id_text, plain_id_text, small_systems,
 )
 from systems import as_lists, random_system
 
@@ -37,7 +41,8 @@ def outcome(load, *paths):
         return (result.author_ids, result.citing_papers, result.cited_paper_ids,
                 _matrix(result.realized), _matrix(result.accurate))
     sim, cites = result
-    return sim.paper_ids, sim.timestamps, sim.scores.tolist(), _matrix(cites)
+    return (sim.paper_ids, sim.timestamps, sim.scores.shape, sim.scores.tobytes(),
+            _matrix(cites))
 
 
 def _matrix(matrix):
@@ -52,12 +57,15 @@ def per_cell(load, *paths):
 
 
 def assert_same_outcome(files, load):
-    """Write ``files`` (name -> bytes) and compare both decoders on them."""
+    """Write ``files`` (name -> bytes), compare both decoders on them, and
+    return the outcome."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = [Path(tmp) / name for name in files]
         for path, data in zip(paths, files.values()):
             path.write_bytes(data)
-        assert outcome(load, *paths) == per_cell(load, *paths)
+        result = outcome(load, *paths)
+        assert result == per_cell(load, *paths)
+        return result
 
 
 # Each kind of edit gets examples of its own, so that every adversarial case
@@ -102,6 +110,114 @@ def test_citation_documents_decode_as_per_cell(edit, data):
     docs = data.draw(omission_documents(edit))
     assert_same_outcome({"sim.json": docs[0], "cites.json": docs[1]},
                         cio.load_omission_inputs)
+
+
+@st.composite
+def similarity_documents(draw, edit):
+    """A similarity document with one edit aimed at its ``scores``, and a
+    valid citation document."""
+    ids = draw(st.lists(draw(st.sampled_from([id_text, plain_id_text])), min_size=1,
+                        max_size=4, unique=True))
+    n = len(ids)
+    scores = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            scores[i][j] = scores[j][i] = draw(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0, 0, 1]))
+    sim = {"papers": [{"id": pid, "timestamp": draw(st.integers(0, 3))} for pid in ids],
+           "scores": scores}
+    cites = {"papers": ids, "cites": [[0] * n for _ in range(n)]}
+    return edit_json(draw, sim, ["scores"], edit), json.dumps(cites).encode()
+
+
+@pytest.mark.parametrize("edit", [*JSON_EDITS, "number cell"])
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_similarity_documents_decode_as_per_cell(edit, data):
+    docs = data.draw(similarity_documents(edit))
+    assert_same_outcome({"sim.json": docs[0], "cites.json": docs[1]},
+                        cio.load_omission_inputs)
+
+
+@pytest.mark.parametrize("cell", CELLS["number cell"])
+@pytest.mark.parametrize("at", [(0, 0), (0, 1)])
+def test_each_number_cell_decodes_as_per_cell(cell, at):
+    """Each number cell edit, on the diagonal, which no range check bounds,
+    and off it: the same result, or the same error, as ``json``'s."""
+    rows = [[b"1.0", b"0.5"], [b"0.5", b"1.0"]]
+    rows[at[0]][at[1]] = cell
+    scores = b"[" + b", ".join(b"[" + b", ".join(row) + b"]" for row in rows) + b"]"
+    sim = b'{"papers": [{"id": "a", "timestamp": 0}, {"id": "b", "timestamp": 1}], "scores": '
+    cites = b'{"papers": ["a", "b"], "cites": [[0, 0], [0, 0]]}'
+    assert_same_outcome({"sim.json": sim + scores + b"}", "cites.json": cites},
+                        cio.load_omission_inputs)
+
+
+def _halfway(x):
+    """The exact decimal midway between the double ``x`` and its neighbour
+    towards 0.5, which a correctly rounding parser rounds to the even one."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1200  # a double's exact decimal has at most 767 digits
+        return str((decimal.Decimal(x) + decimal.Decimal(math.nextafter(x, 0.5))) / 2)
+
+
+# The ways a score is written: shortest, 17 and 26 significant digits, and
+# halfway between two doubles.
+SCORE_TEXTS = [repr, "%.17g".__mod__, "%.25e".__mod__, _halfway]
+scores_in_unit = st.floats(0.0, 1.0) | st.sampled_from(
+    [-0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1.0 - 2**-53]
+)
+# Integer literals json keeps as ints and orjson could read as floats.
+beyond_int64 = st.integers(2**63, 2**70) | st.integers(-(2**70), -(2**63) - 1)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), n=st.integers(1, 4))
+def test_scores_are_decoded_to_the_bits_json_gives(data, n):
+    """Scores written in every way a writer might, subnormals and -0.0
+    among them, and integers beyond int64 on the diagonal, which no check
+    bounds: every file loads, its scores orjson decodes are bit for bit
+    those of the ``json`` path, and a file with an integer beyond int64
+    declines."""
+    cells = [[None] * n for _ in range(n)]
+    big = False
+    for i in range(n):
+        for j in range(i, n):
+            if i == j and data.draw(st.booleans()):
+                value = data.draw(beyond_int64)
+                big = True
+                cells[i][i] = str(value)
+                continue
+            value = data.draw(scores_in_unit)
+            for a, b in ((i, j), (j, i)):
+                cells[a][b] = data.draw(st.sampled_from(SCORE_TEXTS))(value)
+    sep = data.draw(st.sampled_from([", ", ",", ",\n      "]))
+    papers = json.dumps([{"id": f"p{i}", "timestamp": i} for i in range(n)])
+    rows = sep.join("[" + sep.join(row) + "]" for row in cells)
+    text = ('{"papers": %s, "scores": [%s]}' % (papers, rows)).encode()
+    assert (cio._json_matrices(text, ("scores",)) is None) == big
+    cites = json.dumps({"papers": [f"p{i}" for i in range(n)], "cites": [[0] * n] * n})
+    result = assert_same_outcome({"sim.json": text, "cites.json": cites.encode()},
+                                 cio.load_omission_inputs)
+    assert result[0] == tuple(f"p{i}" for i in range(n))  # a result, no error
+
+
+def test_scores_decode_in_place(tmp_path):
+    """A 300 x 300 similarity document: the scores block is parsed from the
+    file's bytes in place, so decoding allocates nothing block-sized beyond
+    the rows it returns."""
+    rng = np.random.default_rng(3)
+    scores = rng.random((300, 300))
+    data = json.dumps({"papers": [{"id": f"p{i}", "timestamp": i} for i in range(300)],
+                       "scores": scores.tolist()}).encode()
+    cio._json_matrices(data, ("scores",))  # the first call imports orjson
+    tracemalloc.start()
+    try:
+        decoded = cio._json_matrices(data, ("scores",))
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert decoded is not None and decoded["scores"] == scores.tolist()
+    assert peak - current < 0.1 * len(data)
 
 
 def near_misses(data):

@@ -1030,3 +1030,17 @@ def test_importing_the_cli_loads_no_thread_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_importing_the_cli_loads_no_orjson():
+    # orjson adds several ms to the import; io imports it only when it first
+    # decodes a similarity document's scores.
+    src = str(Path(simulate.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, path]))}
+    code = "import sys, citenoise, citenoise.cli; print('orjson' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
